@@ -95,7 +95,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -285,12 +284,12 @@ func run(cfg config) error {
 		Chaos:          inj,
 	})
 	defer svc.Close()
-	svc.Metrics().RegisterCollector(obs.WriteRuntimeMetrics)
+	svc.Metrics().RegisterCollector(obs.RuntimeFamilies)
 
 	// The resilience set aggregates the admission gate and the control-plane
 	// breakers behind one /metrics collector and the /v1/resilience view.
 	res := resilience.NewSet()
-	svc.Metrics().RegisterCollector(res.WriteMetrics)
+	svc.Metrics().RegisterCollector(func() []obs.PromFamily { return res.Families("ioserve") })
 	var gate *resilience.Gate
 	if cfg.admissionMax > 0 {
 		gate = resilience.NewGate(resilience.GateConfig{
@@ -390,7 +389,7 @@ func run(cfg config) error {
 			return err
 		}
 		slo := obs.NewSLO(specs)
-		svc.Metrics().RegisterCollector(func(w io.Writer) error { return slo.WriteMetrics("ioserve", w) })
+		svc.Metrics().RegisterCollector(func() []obs.PromFamily { return slo.Families("ioserve") })
 		// The middleware wraps the whole surface (drift mux included) so
 		// predict and control outcomes both land in the objectives; /v1/slo
 		// itself sits outside the wrap.

@@ -1,10 +1,10 @@
 package drift
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
+
+	"iotaxo/internal/obs"
 )
 
 // Exposition: the control plane renders its own ioserve_drift_* series
@@ -135,9 +135,9 @@ func (c *Controller) actionsSnapshot(st *systemState) map[string]uint64 {
 	return copyCounts(st.actions)
 }
 
-// WriteMetrics renders the drift series in Prometheus text format; it is
-// registered with serve.Metrics so the series appear on GET /metrics.
-func (c *Controller) WriteMetrics(w io.Writer) error {
+// Families returns the drift series; New registers it with serve.Metrics
+// so the series appear on GET /metrics.
+func (c *Controller) Families() []obs.PromFamily {
 	states := c.states()
 	if len(states) == 0 {
 		return nil
@@ -148,58 +148,34 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 		statuses[i] = c.systemStatus(st)
 		actions[i] = c.actionsSnapshot(st)
 	}
-
-	counters := []struct {
-		name, help string
-		val        func(SystemStatus) uint64
-	}{
-		{"ioserve_drift_windows_total", "Detector windows evaluated.",
-			func(s SystemStatus) uint64 { return s.Windows }},
-		{"ioserve_drift_observed_rows_total", "Served rows binned against the reference histograms.",
-			func(s SystemStatus) uint64 { return s.ObservedRows }},
-		{"ioserve_drift_feedback_rows_total", "Ground-truth feedback rows ingested.",
-			func(s SystemStatus) uint64 { return s.FeedbackRows }},
-	}
-	for _, cn := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", cn.name, cn.help, cn.name); err != nil {
-			return err
-		}
+	var fams []obs.PromFamily
+	perSystem := func(name, help, typ string, val func(SystemStatus) float64) {
+		f := obs.PromFamily{Name: name, Help: help, Type: typ}
 		for _, s := range statuses {
-			if _, err := fmt.Fprintf(w, "%s{system=%q} %d\n", cn.name, s.System, cn.val(s)); err != nil {
-				return err
-			}
+			f.Samples = append(f.Samples, obs.PromSample{Name: name, Labels: obs.PromLabels("system", s.System), Value: val(s)})
 		}
+		fams = append(fams, f)
 	}
+	perSystem("ioserve_drift_windows_total", "Detector windows evaluated.", "counter",
+		func(s SystemStatus) float64 { return float64(s.Windows) })
+	perSystem("ioserve_drift_observed_rows_total", "Served rows binned against the reference histograms.", "counter",
+		func(s SystemStatus) float64 { return float64(s.ObservedRows) })
+	perSystem("ioserve_drift_feedback_rows_total", "Ground-truth feedback rows ingested.", "counter",
+		func(s SystemStatus) float64 { return float64(s.FeedbackRows) })
+	perSystem("ioserve_drift_psi_max", "Largest per-feature PSI in the last closed window.", "gauge",
+		func(s SystemStatus) float64 { return s.PSIMax })
+	perSystem("ioserve_drift_ks_max", "Largest per-feature KS statistic in the last closed window.", "gauge",
+		func(s SystemStatus) float64 { return s.KSMax })
+	perSystem("ioserve_drift_error_mae_log", "Rolling feedback MAE(log10) of the active version.", "gauge",
+		func(s SystemStatus) float64 { return s.ErrorMAELog })
+	perSystem("ioserve_drift_noise_mae_log", "MAE(log10) explained by the system's measured noise floor.", "gauge",
+		func(s SystemStatus) float64 { return s.NoiseMAELog })
+	perSystem("ioserve_drift_staged_version", "Retrained candidate awaiting promotion (0 = none).", "gauge",
+		func(s SystemStatus) float64 { return float64(s.StagedVersion) })
+	perSystem("ioserve_drift_buffer_rows", "Feedback rows buffered for the next retrain.", "gauge",
+		func(s SystemStatus) float64 { return float64(s.BufferRows) })
 
-	gauges := []struct {
-		name, help string
-		val        func(SystemStatus) float64
-	}{
-		{"ioserve_drift_psi_max", "Largest per-feature PSI in the last closed window.",
-			func(s SystemStatus) float64 { return s.PSIMax }},
-		{"ioserve_drift_ks_max", "Largest per-feature KS statistic in the last closed window.",
-			func(s SystemStatus) float64 { return s.KSMax }},
-		{"ioserve_drift_error_mae_log", "Rolling feedback MAE(log10) of the active version.",
-			func(s SystemStatus) float64 { return s.ErrorMAELog }},
-		{"ioserve_drift_noise_mae_log", "MAE(log10) explained by the system's measured noise floor.",
-			func(s SystemStatus) float64 { return s.NoiseMAELog }},
-		{"ioserve_drift_staged_version", "Retrained candidate awaiting promotion (0 = none).",
-			func(s SystemStatus) float64 { return float64(s.StagedVersion) }},
-		{"ioserve_drift_buffer_rows", "Feedback rows buffered for the next retrain.",
-			func(s SystemStatus) float64 { return float64(s.BufferRows) }},
-	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name); err != nil {
-			return err
-		}
-		for _, s := range statuses {
-			if _, err := fmt.Fprintf(w, "%s{system=%q} %g\n", g.name, s.System, g.val(s)); err != nil {
-				return err
-			}
-		}
-	}
-
-	labeled := []struct {
+	for _, ln := range []struct {
 		name, help, label string
 		pick              func(int) map[string]uint64
 	}{
@@ -209,11 +185,8 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 			func(i int) map[string]uint64 { return statuses[i].Retrains }},
 		{"ioserve_drift_decisions_total", "Control-plane decisions by action.", "action",
 			func(i int) map[string]uint64 { return actions[i] }},
-	}
-	for _, ln := range labeled {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", ln.name, ln.help, ln.name); err != nil {
-			return err
-		}
+	} {
+		f := obs.PromFamily{Name: ln.name, Help: ln.help, Type: "counter"}
 		for i, s := range statuses {
 			m := ln.pick(i)
 			keys := make([]string, 0, len(m))
@@ -222,11 +195,10 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				if _, err := fmt.Fprintf(w, "%s{system=%q,%s=%q} %d\n", ln.name, s.System, ln.label, k, m[k]); err != nil {
-					return err
-				}
+				f.Samples = append(f.Samples, obs.PromSample{Name: ln.name, Labels: obs.PromLabels("system", s.System, ln.label, k), Value: float64(m[k])})
 			}
 		}
+		fams = append(fams, f)
 	}
-	return nil
+	return fams
 }

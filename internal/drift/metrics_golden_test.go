@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"iotaxo/internal/obs"
 	"iotaxo/internal/serve"
 )
 
@@ -44,7 +45,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	cori.ksMax = 0.0625
 
 	var buf bytes.Buffer
-	if err := c.WriteMetrics(&buf); err != nil {
+	if err := obs.WritePromText(&buf, c.Families()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "metrics.golden")

@@ -365,7 +365,7 @@ func TestRemoteBackend(t *testing.T) {
 	set := resilience.NewSet()
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 32})
 	set.SetGate(gate)
-	svc.Metrics().RegisterCollector(set.WriteMetrics)
+	svc.Metrics().RegisterCollector(func() []obs.PromFamily { return set.Families("ioserve") })
 	ts := httptest.NewServer(serve.NewHandler(svc, serve.HandlerConfig{Gate: gate, Resilience: set}))
 	t.Cleanup(ts.Close)
 

@@ -131,24 +131,20 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", serve.MetricsContentType)
-		if err := rt.metrics.WriteMetrics(w); err != nil {
-			return
+		var fams []obs.PromFamily
+		for _, part := range [][]obs.PromFamily{
+			rt.metrics.families(),
+			rt.res.Families("iorouter"),
+			rt.tracer.Families(),
+			rt.memlog.Families(),
+			rt.scrape.Families(),
+			cfg.SLO.Families("iorouter"),
+		} {
+			fams = append(fams, part...)
 		}
-		if err := rt.res.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.tracer.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.memlog.WriteMetrics(w); err != nil {
-			return
-		}
-		if err := rt.scrape.WriteMetrics(w); err != nil {
-			return
-		}
-		if cfg.SLO != nil {
-			_ = cfg.SLO.WriteMetrics("iorouter", w)
-		}
+		// A failed write means the scraper hung up; there is no one left
+		// to answer.
+		_ = obs.WritePromText(w, fams)
 	})
 	return mux
 }
@@ -200,19 +196,9 @@ func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"slow_threshold_ns": slowThresholdNs(rt.tracer),
+		"slow_threshold_ns": int64(math.Round(rt.tracer.SlowSeconds() * 1e9)),
 		"traces":            summaries,
 	})
-}
-
-// slowThresholdNs reports the tracer's slow bar as 0 while unarmed, so the
-// listing never shows MaxInt64.
-func slowThresholdNs(tr *obs.RouterTracer) int64 {
-	ns := int64(tr.SlowThreshold())
-	if ns == math.MaxInt64 {
-		return 0
-	}
-	return ns
 }
 
 // handleFleetTraceGet serves GET /v1/trace/{id}: one stitched

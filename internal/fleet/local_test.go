@@ -12,10 +12,10 @@ import (
 	"iotaxo/internal/serve"
 )
 
-// Local is the in-process replica backend: a *serve.Service wrapped in
-// the Predictor interface, with the same admission-gate behavior the HTTP
-// layer applies. Fleet tests run 3 of these against one router under
-// -race; an embedded deployment can do the same in production. Because
+// Local is the in-process replica backend the fleet tests use: a
+// *serve.Service wrapped in the Predictor interface, with the same
+// admission-gate behavior the HTTP layer applies. Fleet tests run 3 of
+// these against one router under -race. Because
 // Predict goes through serve.(*Service).ServeRequest — the exact core the
 // HTTP handler calls — a Local replica is behaviorally identical to a
 // Remote one minus the network.

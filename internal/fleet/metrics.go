@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"iotaxo/internal/obs"
 )
 
 // Router metrics, rendered in Prometheus text format at the router's
@@ -89,23 +89,20 @@ func (m *routerMetrics) replicaError(name string) {
 	}
 }
 
-// WriteMetrics renders the iorouter_* series.
-func (m *routerMetrics) WriteMetrics(w io.Writer) error {
-	type scalar struct {
+// families renders the iorouter_* series.
+func (m *routerMetrics) families() []obs.PromFamily {
+	var fams []obs.PromFamily
+	for _, s := range []struct {
 		name, help, typ string
-		val             uint64
-	}
-	scalars := []scalar{
-		{"iorouter_requests_total", "Client requests routed.", "counter", m.requests.Load()},
-		{"iorouter_errors_total", "Client requests answered with an error.", "counter", m.errors.Load()},
-		{"iorouter_failovers_total", "Sub-requests retried on another replica after a fault.", "counter", m.failovers.Load()},
-		{"iorouter_ring_remaps_total", "Ring membership flips (joins, ejections, drains, expiries).", "counter", m.remaps.Load()},
-		{"iorouter_replicas_healthy", "Replicas currently on the ring.", "gauge", uint64(m.healthy.Load())},
-	}
-	for _, s := range scalars {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", s.name, s.help, s.name, s.typ, s.name, s.val); err != nil {
-			return err
-		}
+		val             float64
+	}{
+		{"iorouter_requests_total", "Client requests routed.", "counter", float64(m.requests.Load())},
+		{"iorouter_errors_total", "Client requests answered with an error.", "counter", float64(m.errors.Load())},
+		{"iorouter_failovers_total", "Sub-requests retried on another replica after a fault.", "counter", float64(m.failovers.Load())},
+		{"iorouter_ring_remaps_total", "Ring membership flips (joins, ejections, drains, expiries).", "counter", float64(m.remaps.Load())},
+		{"iorouter_replicas_healthy", "Replicas currently on the ring.", "gauge", float64(m.healthy.Load())},
+	} {
+		fams = append(fams, obs.PromFamily{Name: s.name, Help: s.help, Type: s.typ, Samples: []obs.PromSample{{Name: s.name, Value: s.val}}})
 	}
 	// Snapshot the member set so rendering never races add/remove.
 	m.mu.Lock()
@@ -116,23 +113,19 @@ func (m *routerMetrics) WriteMetrics(w io.Writer) error {
 		counters[n] = c
 	}
 	m.mu.Unlock()
-	type series struct {
+	for _, s := range []struct {
 		name, help string
 		get        func(*replicaCounters) uint64
-	}
-	for _, s := range []series{
+	}{
 		{"iorouter_replica_requests_total", "Sub-requests dispatched per replica.", func(c *replicaCounters) uint64 { return c.requests.Load() }},
 		{"iorouter_replica_rows_total", "Rows dispatched per replica.", func(c *replicaCounters) uint64 { return c.rows.Load() }},
 		{"iorouter_replica_errors_total", "Sub-request failures per replica.", func(c *replicaCounters) uint64 { return c.errors.Load() }},
 	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", s.name, s.help, s.name); err != nil {
-			return err
-		}
+		f := obs.PromFamily{Name: s.name, Help: s.help, Type: "counter"}
 		for _, n := range names {
-			if _, err := fmt.Fprintf(w, "%s{replica=%q} %d\n", s.name, n, s.get(counters[n])); err != nil {
-				return err
-			}
+			f.Samples = append(f.Samples, obs.PromSample{Name: s.name, Labels: obs.PromLabels("replica", n), Value: float64(s.get(counters[n]))})
 		}
+		fams = append(fams, f)
 	}
-	return nil
+	return fams
 }

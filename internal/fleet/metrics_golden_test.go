@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,5 +103,43 @@ func TestRouterMetricsExpositionGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s mismatch (rerun with -update to accept):\n--- got\n%s\n--- want\n%s", path, got, want)
+	}
+}
+
+// reloadStub is a stub replica whose exposition carries the breaker
+// families every ioserve started with -reload-interval exposes.
+type reloadStub struct{ *stubReplica }
+
+func (s reloadStub) Metrics(ctx context.Context) ([]byte, error) { return goldenReplicaBody(3, 1), nil }
+
+// TestRouterMetricsFamiliesUnique: with replica breaker families merged in
+// from the fleet scrape, the router's /metrics still declares every family
+// exactly once — Prometheus rejects an exposition with a duplicate family.
+func TestRouterMetricsFamiliesUnique(t *testing.T) {
+	rt := newTestRouter(t, RouterConfig{}, reloadStub{newStub("replica-0")})
+	rt.ProbeOnce()
+	rec := httptest.NewRecorder()
+	Handler(rt).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	if !strings.Contains(body, `ioserve_breaker_trips_total{name="reload"} 1`) {
+		t.Fatalf("merged replica breaker series missing:\n%s", body)
+	}
+	declared := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if fields := strings.Fields(line); len(fields) == 4 && fields[0] == "#" && fields[1] == "TYPE" {
+			declared[fields[2]]++
+		}
+	}
+	for name, n := range declared {
+		if n != 1 {
+			t.Errorf("family %s declared %d times", name, n)
+		}
+	}
+	families, err := obs.ParsePromText([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(families) != len(declared) {
+		t.Errorf("parsed %d families from %d declarations", len(families), len(declared))
 	}
 }

@@ -471,7 +471,7 @@ func TestHandlerPredict(t *testing.T) {
 		"iorouter_replicas_healthy 3",
 		`iorouter_replica_rows_total{replica="replica-0"}`,
 		"iorouter_failovers_total 0",
-		`ioserve_breaker_state{name="replica-0"}`,
+		`iorouter_breaker_state{name="replica-0"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)

@@ -31,7 +31,7 @@ func BenchmarkDWFused(b *testing.B) {
 	g := randMat(128, 64, 0.3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MulATB(a, g)
+		MulATBInto(New(a.Cols, g.Cols), a, g)
 	}
 }
 

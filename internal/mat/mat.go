@@ -181,21 +181,11 @@ func parallelRows(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MulATB returns aᵀ*b without materializing the transpose. Each output
-// element accumulates over a's rows in ascending order with the same
-// zero-skip as mulRows, so the result is bit-identical to Mul(a.T(), b) —
-// minus the transpose allocation and copy. This is the dW = inputᵀ*grad
-// shape of backprop.
-func MulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: MulATB dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	MulATBInto(out, a, b)
-	return out
-}
-
-// MulATBInto is MulATB into a caller-owned matrix (overwriting it).
+// MulATBInto writes aᵀ*b into a caller-owned matrix (overwriting it)
+// without materializing the transpose. Each output element accumulates
+// over a's rows in ascending order with the same zero-skip as mulRows, so
+// the result is bit-identical to Mul(a.T(), b) — minus the transpose
+// allocation and copy. This is the dW = inputᵀ*grad shape of backprop.
 func MulATBInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulATBInto dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

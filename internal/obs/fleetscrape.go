@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -154,66 +152,42 @@ func (fs *FleetScrape) Up(target string) bool {
 	return ok && t.up
 }
 
-// WriteMetrics renders the fleet view: per-replica up and scrape-age
-// gauges, then every counter/histogram family summed across up replicas
-// with the family HELP prefixed "Fleet-aggregated:" so a dashboard can
-// tell merged series from the router's own.
-func (fs *FleetScrape) WriteMetrics(w io.Writer) error {
+// Families returns the fleet view: per-replica up and scrape-age gauges,
+// then every counter/histogram family summed across up replicas with the
+// family HELP prefixed "Fleet-aggregated:" so a dashboard can tell merged
+// series from the router's own.
+func (fs *FleetScrape) Families() []PromFamily {
 	fs.mu.Lock()
 	now := fs.now()
-	type replicaRow struct {
-		name string
-		up   int
-		age  float64
-	}
-	rows := make([]replicaRow, 0, len(fs.names))
+	up := PromFamily{Name: "iorouter_replica_up", Help: "Whether the most recent metrics scrape of the replica succeeded.", Type: "gauge"}
+	age := PromFamily{Name: "iorouter_replica_scrape_age_seconds", Help: "Seconds since the last successful metrics scrape of the replica (-1 before the first).", Type: "gauge"}
 	var merged [][]PromFamily
 	for _, name := range fs.names {
 		t := fs.targets[name]
-		r := replicaRow{name: name, age: -1}
+		r := PromSample{Name: up.Name, Labels: PromLabels("replica", name)}
 		if t.up {
-			r.up = 1
+			r.Value = 1
 		}
+		up.Samples = append(up.Samples, r)
+		a := PromSample{Name: age.Name, Labels: r.Labels, Value: -1}
 		if !t.lastOK.IsZero() {
-			r.age = now.Sub(t.lastOK).Seconds()
+			a.Value = now.Sub(t.lastOK).Seconds()
 		}
-		rows = append(rows, r)
+		age.Samples = append(age.Samples, a)
 		if t.up && t.families != nil {
 			merged = append(merged, t.families)
 		}
 	}
 	fs.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP iorouter_replica_up Whether the most recent metrics scrape of the replica succeeded.\n")
-	fmt.Fprintf(w, "# TYPE iorouter_replica_up gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "iorouter_replica_up{replica=%q} %d\n", r.name, r.up)
-	}
-	fmt.Fprintf(w, "# HELP iorouter_replica_scrape_age_seconds Seconds since the last successful metrics scrape of the replica (-1 before the first).\n")
-	fmt.Fprintf(w, "# TYPE iorouter_replica_scrape_age_seconds gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "iorouter_replica_scrape_age_seconds{replica=%q} %g\n", r.name, r.age)
-	}
-
+	out := []PromFamily{up, age}
 	for _, f := range MergeFamilies(merged...) {
 		if f.Help != "" {
-			fmt.Fprintf(w, "# HELP %s Fleet-aggregated: %s\n", f.Name, f.Help)
+			f.Help = "Fleet-aggregated: " + f.Help
 		} else {
-			fmt.Fprintf(w, "# HELP %s Fleet-aggregated.\n", f.Name)
+			f.Help = "Fleet-aggregated."
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type)
-		for _, s := range f.Samples {
-			fmt.Fprintf(w, "%s%s %s\n", s.Name, s.Labels, formatPromValue(s.Value))
-		}
+		out = append(out, f)
 	}
-	return nil
-}
-
-// formatPromValue renders integral values without an exponent so merged
-// counters look like the per-process ones they were summed from.
-func formatPromValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
+	return out
 }

@@ -20,7 +20,7 @@ func TestFleetScrapeUpAndStaleness(t *testing.T) {
 
 	now = now.Add(7 * time.Second)
 	var buf strings.Builder
-	if err := fs.WriteMetrics(&buf); err != nil {
+	if err := WritePromText(&buf, fs.Families()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -54,7 +54,7 @@ func TestFleetScrapeMergedFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := fs.WriteMetrics(&buf); err != nil {
+	if err := WritePromText(&buf, fs.Families()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -70,7 +70,7 @@ func TestFleetScrapeMergedFamilies(t *testing.T) {
 	// Down replicas are excluded from the merge.
 	fs.MarkDown("r2")
 	buf.Reset()
-	_ = fs.WriteMetrics(&buf)
+	_ = WritePromText(&buf, fs.Families())
 	if !strings.Contains(buf.String(), "ioserve_requests_total 10") {
 		t.Errorf("down replica still in merge:\n%s", buf.String())
 	}

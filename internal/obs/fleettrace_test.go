@@ -88,7 +88,7 @@ func TestRouterTracerKeepPolicy(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := rt.WriteMetrics(&buf); err != nil {
+	if err := WritePromText(&buf, rt.Families()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `iorouter_traces_kept_total{reason="sampled"} 2`) {

@@ -68,7 +68,7 @@ func TestMembershipLogMetricsZeros(t *testing.T) {
 	l.Record("r1", "custom_event", "")
 
 	var buf strings.Builder
-	if err := l.WriteMetrics(&buf); err != nil {
+	if err := WritePromText(&buf, l.Families()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -111,7 +111,7 @@ func TestFleetScrapeRemove(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := fs.WriteMetrics(&buf); err != nil {
+	if err := WritePromText(&buf, fs.Families()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

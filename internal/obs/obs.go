@@ -1,7 +1,8 @@
 // Package obs is the serving stack's zero-dependency observability layer:
 // request tracing with per-stage latency attribution, a lock-light ring
-// buffer of retained traces with tail-sampling, Go runtime health metrics
-// for the /metrics exposition, and structured logging setup shared by the
+// buffer of retained traces with tail-sampling, the Prometheus text
+// exposition format (obs is the only package that reads or writes it), Go
+// runtime health metrics, and structured logging setup shared by the
 // serving binaries.
 //
 // The design splits responsibilities so the hot path stays allocation-free:
@@ -15,9 +16,16 @@
 //	Tracer       — owns the trace pool, the tail-sampling policy (always
 //	               keep errors, OoD-flagged rows, and requests slower than
 //	               a moving p99 threshold; head-sample 1-in-N of the rest),
-//	               and the retained-trace ring (tracer.go, ring.go)
+//	               and the retained-trace ring (tracer.go, ring.go); the
+//	               router's RouterTracer shares that policy core and ring
+//	               (fleettrace.go)
 //	runtime      — GC pause, goroutine, and heap series rendered into the
 //	               Prometheus exposition at scrape time (runtime.go)
+//	exposition   — obs owns the Prometheus text format: every metrics
+//	               writer in the stack returns PromFamily values, and
+//	               WritePromText is the one renderer (promtext.go); the
+//	               latency ladder, LatencyHist and MovingP99 share one
+//	               bucket set (latency.go)
 //	logging      — slog construction for the binaries plus a discard
 //	               default so library code can log unconditionally (obs.go)
 //

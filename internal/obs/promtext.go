@@ -1,17 +1,21 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// promtext.go parses and re-renders the Prometheus text exposition format
-// (version 0.0.4) just far enough to merge counter and histogram families
-// scraped from fleet replicas. It is not a general client library: it
-// assumes the well-formed output our own metrics writers produce, and
-// tolerates (by skipping) anything it does not understand.
+// promtext.go owns the Prometheus text exposition format (version 0.0.4):
+// WritePromText is the one renderer every /metrics body in the serving
+// stack goes through, and ParsePromText reads replica bodies back far
+// enough to merge counter and histogram families fleet-wide. It is not a
+// general client library: the parser rejects what it cannot render back
+// identically and skips comments it does not understand.
 
 // PromSample is one series line: a metric name, its rendered label block
 // (including braces, or "" for an unlabelled series), and the value.
@@ -31,9 +35,87 @@ type PromFamily struct {
 	Samples []PromSample
 }
 
+// WritePromText renders families in declaration order: per family a
+// # HELP line (when Help is set), a # TYPE line, then its samples. Values
+// go through formatPromValue. The first write error is returned.
+func WritePromText(w io.Writer, families []PromFamily) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range families {
+		if f.Help != "" {
+			bw.WriteString("# HELP ")
+			bw.WriteString(f.Name)
+			bw.WriteByte(' ')
+			bw.WriteString(f.Help)
+			bw.WriteByte('\n')
+		}
+		bw.WriteString("# TYPE ")
+		bw.WriteString(f.Name)
+		bw.WriteByte(' ')
+		bw.WriteString(f.Type)
+		bw.WriteByte('\n')
+		for _, s := range f.Samples {
+			bw.WriteString(s.Name)
+			bw.WriteString(s.Labels)
+			bw.WriteByte(' ')
+			bw.WriteString(formatPromValue(s.Value))
+			bw.WriteByte('\n')
+		}
+	}
+	return bw.Flush()
+}
+
+// PromLabels renders key/value pairs (k1, v1, k2, v2, ...) as a label
+// block, `{k1="v1",k2="v2"}`, each value quoted by strconv.Quote. No pairs
+// render as "".
+func PromLabels(kv ...string) string {
+	if len(kv) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(kv[i])
+		b.WriteByte('=')
+		b.WriteString(strconv.Quote(kv[i+1]))
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// formatPromValue renders integral values without an exponent, so counters
+// summed or converted through float64 read like integers, and everything
+// else as %g would, with NaN, +Inf and -Inf spelled as Prometheus expects.
+// Negative zero keeps its sign so every value parses back to the same bits.
+func formatPromValue(v float64) string {
+	if v == math.Trunc(v) && v >= -(1<<63) && v < 1<<63 && !(v == 0 && math.Signbit(v)) {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validMetricName(name string) bool {
+	if name == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c == '_' || c == ':' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || (i > 0 && '0' <= c && c <= '9') {
+			continue
+		}
+		return false
+	}
+	return true
+}
+
 // ParsePromText parses a text-format exposition body into families,
 // in declaration order. Series that appear without a preceding # TYPE
-// comment are collected into an implicit untyped family.
+// comment are collected into an implicit untyped family. A sample with an
+// invalid metric name or a second # TYPE line for one family is an error;
+// HELP and TYPE comments naming an invalid metric are skipped.
 func ParsePromText(body []byte) ([]PromFamily, error) {
 	var families []PromFamily
 	index := map[string]int{} // family name -> families idx
@@ -47,6 +129,7 @@ func ParsePromText(body []byte) ([]PromFamily, error) {
 	}
 	// owner maps a series name (e.g. foo_bucket) to its family (foo).
 	owner := map[string]string{}
+	typed := map[string]bool{}
 
 	for _, line := range strings.Split(string(body), "\n") {
 		line = strings.TrimSpace(line)
@@ -55,13 +138,17 @@ func ParsePromText(body []byte) ([]PromFamily, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.SplitN(line, " ", 4)
-			if len(fields) < 4 {
+			if len(fields) < 4 || !validMetricName(fields[2]) {
 				continue
 			}
 			switch fields[1] {
 			case "HELP":
 				family(fields[2]).Help = fields[3]
 			case "TYPE":
+				if typed[fields[2]] {
+					return nil, fmt.Errorf("obs: second TYPE line for %s", fields[2])
+				}
+				typed[fields[2]] = true
 				f := family(fields[2])
 				f.Type = fields[3]
 				owner[fields[2]] = fields[2]
@@ -76,6 +163,9 @@ func ParsePromText(body []byte) ([]PromFamily, error) {
 		name, labels, valueText, err := splitSample(line)
 		if err != nil {
 			return nil, err
+		}
+		if !validMetricName(name) {
+			return nil, fmt.Errorf("obs: bad metric name in %q", line)
 		}
 		v, err := strconv.ParseFloat(valueText, 64)
 		if err != nil {

@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -54,6 +58,8 @@ func TestParsePromTextMalformed(t *testing.T) {
 	for _, body := range []string{
 		"ioserve_requests_total notanumber\n",
 		`broken{le="0.1" 3` + "\n",
+		"not a name{} 1\n",
+		"# TYPE h histogram\nh_sum 1\n# TYPE h counter\n",
 	} {
 		if _, err := ParsePromText([]byte(body)); err == nil {
 			t.Errorf("ParsePromText(%q) did not error", body)
@@ -159,4 +165,138 @@ h_bucket{stage="guard",le="+Inf"} 5
 	if evalBucket != 3 || guardBucket != 5 {
 		t.Fatalf("evaluate=%g (want 3) guard=%g (want 5)", evalBucket, guardBucket)
 	}
+}
+
+// TestFormatPromValue pins the renderer's value rule: integral values print
+// as %d would print them, everything else as %g, with NaN, +Inf, -Inf and
+// -0 spelled so they parse back to the same bits.
+func TestFormatPromValue(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0"},
+		{math.Copysign(0, -1), "-0"},
+		{42, "42"},
+		{-7, "-7"},
+		{1e6, "1000000"},
+		{12345678, "12345678"},
+		{0.5, "0.5"},
+		{5e-05, "5e-05"},
+		{2.00604, "2.00604"},
+		{1.2345678e+07 + 0.5, "1.23456785e+07"},
+		{1e21, "1e+21"},
+		{math.NaN(), "NaN"},
+		{math.Inf(1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+	} {
+		if got := formatPromValue(c.v); got != c.want {
+			t.Errorf("formatPromValue(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+	for _, v := range []float64{3, 999999, -12, 0.1875, 33.3333333333333, 250.00000000002754, 2e-06, 1e-300} {
+		want := fmt.Sprintf("%g", v)
+		if v == math.Trunc(v) {
+			want = fmt.Sprintf("%d", int64(v))
+		}
+		if got := formatPromValue(v); got != want {
+			t.Errorf("formatPromValue(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestPromLabels: label values are quoted exactly as %q quotes them.
+func TestPromLabels(t *testing.T) {
+	if got := PromLabels(); got != "" {
+		t.Errorf("PromLabels() = %q, want empty", got)
+	}
+	for _, v := range []string{"theta", `qu"ote`, "new\nline\n", "tab\t", "é", "\x00", "predict:p99<=25ms"} {
+		got := PromLabels("system", v, "le", "+Inf")
+		if want := fmt.Sprintf("{system=%q,le=%q}", v, "+Inf"); got != want {
+			t.Errorf("PromLabels(%q) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// TestWritePromText renders a family without HELP, one with no samples
+// and one with labels, and reports write errors.
+func TestWritePromText(t *testing.T) {
+	fams := []PromFamily{
+		{Name: "a_total", Type: "counter", Samples: []PromSample{{Name: "a_total", Value: 3}}},
+		{Name: "b", Help: "Empty.", Type: "gauge"},
+		{Name: "c", Help: "Labeled.", Type: "gauge", Samples: []PromSample{{Name: "c", Labels: PromLabels("k", "v"), Value: 0.25}}},
+	}
+	var buf bytes.Buffer
+	if err := WritePromText(&buf, fams); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE a_total counter\na_total 3\n# HELP b Empty.\n# TYPE b gauge\n# HELP c Labeled.\n# TYPE c gauge\nc{k=\"v\"} 0.25\n"
+	if buf.String() != want {
+		t.Fatalf("rendered:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	if err := WritePromText(failingWriter{}, fams); err == nil {
+		t.Fatal("write error not reported")
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("broken pipe") }
+
+// FuzzPromText: the parser reads replica bodies, so it must never panic,
+// and whatever it accepts must survive a render and re-parse unchanged,
+// values compared bit for bit.
+func FuzzPromText(f *testing.F) {
+	for _, path := range []string{
+		"../serve/testdata/metrics.golden",
+		"../drift/testdata/metrics.golden",
+		"../fleet/testdata/router_metrics.golden",
+	} {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.ReplaceAll(body, []byte("<masked>"), []byte("1.2345678e+07")))
+	}
+	f.Add([]byte(sampleExposition))
+	f.Add([]byte("x NaN\nx{a=\"b\"} -0\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} +Inf\nh_sum -Inf\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		families, err := ParsePromText(body)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WritePromText(&buf, families); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParsePromText(buf.Bytes())
+		if err != nil {
+			t.Fatalf("rendered body does not parse: %v\n%s", err, buf.Bytes())
+		}
+		if msg := diffFamilies(families, again); msg != "" {
+			t.Fatalf("round trip changed the families: %s\ninput:\n%q\nrendered:\n%s", msg, body, buf.Bytes())
+		}
+	})
+}
+
+// diffFamilies describes the first difference between two family lists,
+// comparing values by their bits so NaN matches NaN; "" when equal.
+func diffFamilies(a, b []PromFamily) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d families, then %d", len(a), len(b))
+	}
+	for i := range a {
+		fa, fb := a[i], b[i]
+		if fa.Name != fb.Name || fa.Help != fb.Help || fa.Type != fb.Type || len(fa.Samples) != len(fb.Samples) {
+			return fmt.Sprintf("family %d: %q/%q/%q with %d samples, then %q/%q/%q with %d",
+				i, fa.Name, fa.Help, fa.Type, len(fa.Samples), fb.Name, fb.Help, fb.Type, len(fb.Samples))
+		}
+		for j := range fa.Samples {
+			sa, sb := fa.Samples[j], fb.Samples[j]
+			if sa.Name != sb.Name || sa.Labels != sb.Labels || math.Float64bits(sa.Value) != math.Float64bits(sb.Value) {
+				return fmt.Sprintf("family %s sample %d: %+v, then %+v", fa.Name, j, sa, sb)
+			}
+		}
+	}
+	return ""
 }

@@ -1,16 +1,12 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"runtime"
-)
+import "runtime"
 
-// WriteRuntimeMetrics renders Go runtime health series — goroutine count,
-// heap occupancy, GC cycles and cumulative pause — in Prometheus text
-// format. Register it with serve.Metrics.RegisterCollector; the cost (a
-// ReadMemStats) is paid at scrape time, never on the predict path.
-func WriteRuntimeMetrics(w io.Writer) error {
+// RuntimeFamilies returns Go runtime health series — goroutine count, heap
+// occupancy, GC cycles and cumulative pause. Register it with
+// serve.Metrics.RegisterCollector; the cost (a ReadMemStats) is paid at
+// scrape time, never on the predict path.
+func RuntimeFamilies() []PromFamily {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	series := []struct {
@@ -25,11 +21,9 @@ func WriteRuntimeMetrics(w io.Writer) error {
 		{"ioserve_go_gc_cycles_total", "Completed GC cycles.", "counter", float64(ms.NumGC)},
 		{"ioserve_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.", "counter", float64(ms.PauseTotalNs) / 1e9},
 	}
+	out := make([]PromFamily, 0, len(series))
 	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-			s.name, s.help, s.name, s.kind, s.name, s.val); err != nil {
-			return err
-		}
+		out = append(out, PromFamily{Name: s.name, Help: s.help, Type: s.kind, Samples: []PromSample{{Name: s.name, Value: s.val}}})
 	}
-	return nil
+	return out
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -116,13 +115,13 @@ func ParseSLO(s string) ([]SLOSpec, error) {
 }
 
 // sloBucket is one time slice of an objective's good/bad counts. Latency
-// objectives also fill hist (over the shared slowBuckets ladder) so the
+// objectives also fill hist (over the shared latencyBuckets ladder) so the
 // observed quantile can be reported alongside the target.
 type sloBucket struct {
 	start int64 // aligned unix seconds; 0 = never used
 	n     uint64
 	bad   uint64
-	hist  [len(slowBuckets) + 1]uint64
+	hist  [len(latencyBuckets) + 1]uint64
 }
 
 type sloObjective struct {
@@ -203,8 +202,8 @@ func (s *SLO) Observe(class string, status int, d time.Duration) {
 			b.n++
 			o.totalN++
 			ns := d.Nanoseconds()
-			idx := len(slowBuckets)
-			for i, ub := range slowBuckets {
+			idx := len(latencyBuckets)
+			for i, ub := range latencyBuckets {
 				if ns <= ub {
 					idx = i
 					break
@@ -300,7 +299,7 @@ func (s *SLO) statusLocked(o *sloObjective, now time.Time) SLOStatus {
 }
 
 // window sums the objective's buckets newer than now-span.
-func (o *sloObjective) window(now time.Time, span time.Duration) (n, bad uint64, hist [len(slowBuckets) + 1]uint64) {
+func (o *sloObjective) window(now time.Time, span time.Duration) (n, bad uint64, hist [len(latencyBuckets) + 1]uint64) {
 	cutoff := now.Add(-span).Unix()
 	nowSec := now.Unix()
 	for i := range o.buckets {
@@ -327,9 +326,9 @@ func burnRate(n, bad uint64, budget float64) float64 {
 }
 
 // histQuantile returns the q-quantile bucket bound in nanoseconds from a
-// slowBuckets-ladder histogram, 0 when the histogram is empty. Values in
+// latencyBuckets-ladder histogram, 0 when the histogram is empty. Values in
 // the overflow bucket report the ladder's top bound.
-func histQuantile(hist [len(slowBuckets) + 1]uint64, total uint64, q float64) int64 {
+func histQuantile(hist [len(latencyBuckets) + 1]uint64, total uint64, q float64) int64 {
 	if total == 0 {
 		return 0
 	}
@@ -338,13 +337,13 @@ func histQuantile(hist [len(slowBuckets) + 1]uint64, total uint64, q float64) in
 		target = 1
 	}
 	var cum uint64
-	for i, ub := range slowBuckets {
+	for i, ub := range latencyBuckets {
 		cum += hist[i]
 		if cum >= target {
 			return ub
 		}
 	}
-	return slowBuckets[len(slowBuckets)-1]
+	return latencyBuckets[len(latencyBuckets)-1]
 }
 
 // Handler serves GET /v1/slo: {"objectives":[...]}.
@@ -360,65 +359,59 @@ func (s *SLO) Handler() http.Handler {
 	})
 }
 
-// WriteMetrics returns a metrics collector rendering the objectives as
-// {prefix}_slo_* series.
-func (s *SLO) WriteMetrics(prefix string, w io.Writer) error {
+// Families renders the objectives as {prefix}_slo_* metric families, one
+// series per objective in label order (none for a nil SLO).
+func (s *SLO) Families(prefix string) []PromFamily {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	now := s.now()
 	type row struct {
-		labels   string
-		st       SLOStatus
-		totalN   uint64
-		totalBad uint64
+		class, objective string
+		st               SLOStatus
+		totalN           uint64
+		totalBad         uint64
 	}
 	rows := make([]row, 0, len(s.objectives))
 	for _, o := range s.objectives {
 		rows = append(rows, row{
-			labels:   fmt.Sprintf("{class=%q,objective=%q}", o.spec.Class, o.spec.String()),
-			st:       s.statusLocked(o, now),
-			totalN:   o.totalN,
-			totalBad: o.totalBad,
+			class:     o.spec.Class,
+			objective: o.spec.String(),
+			st:        s.statusLocked(o, now),
+			totalN:    o.totalN,
+			totalBad:  o.totalBad,
 		})
 	}
 	s.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].labels < rows[j].labels })
+	labels := func(r row, kv ...string) string {
+		return PromLabels(append([]string{"class", r.class, "objective", r.objective}, kv...)...)
+	}
+	sort.Slice(rows, func(i, j int) bool { return labels(rows[i]) < labels(rows[j]) })
 
-	fmt.Fprintf(w, "# HELP %s_slo_requests_total Requests observed per SLO objective.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_requests_total counter\n", prefix)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s_slo_requests_total%s %d\n", prefix, r.labels, r.totalN)
+	fams := []PromFamily{
+		{Name: prefix + "_slo_requests_total", Help: "Requests observed per SLO objective.", Type: "counter"},
+		{Name: prefix + "_slo_bad_total", Help: "SLO-violating requests per objective.", Type: "counter"},
+		{Name: prefix + "_slo_burn_rate", Help: "Error-budget burn rate per objective and window (1.0 = consuming exactly the budget).", Type: "gauge"},
+		{Name: prefix + "_slo_budget_consumed", Help: "Fraction of the slow-window error budget consumed.", Type: "gauge"},
+		{Name: prefix + "_slo_met", Help: "Whether the objective is currently met (1) or burning beyond budget (0).", Type: "gauge"},
 	}
-	fmt.Fprintf(w, "# HELP %s_slo_bad_total SLO-violating requests per objective.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_bad_total counter\n", prefix)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s_slo_bad_total%s %d\n", prefix, r.labels, r.totalBad)
+	add := func(f *PromFamily, labels string, v float64) {
+		f.Samples = append(f.Samples, PromSample{Name: f.Name, Labels: labels, Value: v})
 	}
-	fmt.Fprintf(w, "# HELP %s_slo_burn_rate Error-budget burn rate per objective and window (1.0 = consuming exactly the budget).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_burn_rate gauge\n", prefix)
 	for _, r := range rows {
-		fast := strings.TrimSuffix(r.labels, "}") + `,window="5m"}`
-		slow := strings.TrimSuffix(r.labels, "}") + `,window="1h"}`
-		fmt.Fprintf(w, "%s_slo_burn_rate%s %g\n", prefix, fast, r.st.BurnRateFast)
-		fmt.Fprintf(w, "%s_slo_burn_rate%s %g\n", prefix, slow, r.st.BurnRateSlow)
-	}
-	fmt.Fprintf(w, "# HELP %s_slo_budget_consumed Fraction of the slow-window error budget consumed.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_budget_consumed gauge\n", prefix)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s_slo_budget_consumed%s %g\n", prefix, r.labels, r.st.BudgetConsumed)
-	}
-	fmt.Fprintf(w, "# HELP %s_slo_met Whether the objective is currently met (1) or burning beyond budget (0).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_met gauge\n", prefix)
-	for _, r := range rows {
-		met := 0
+		met := 0.0
 		if r.st.Met {
 			met = 1
 		}
-		fmt.Fprintf(w, "%s_slo_met%s %d\n", prefix, r.labels, met)
+		add(&fams[0], labels(r), float64(r.totalN))
+		add(&fams[1], labels(r), float64(r.totalBad))
+		add(&fams[2], labels(r, "window", "5m"), r.st.BurnRateFast)
+		add(&fams[2], labels(r, "window", "1h"), r.st.BurnRateSlow)
+		add(&fams[3], labels(r), r.st.BudgetConsumed)
+		add(&fams[4], labels(r), met)
 	}
-	return nil
+	return fams
 }
 
 // SLOMiddleware wraps next so every response is observed against the

@@ -187,7 +187,7 @@ func TestSLOHandlerAndMetrics(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := s.WriteMetrics("iorouter", &buf); err != nil {
+	if err := WritePromText(&buf, s.Families("iorouter")); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

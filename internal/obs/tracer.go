@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,48 +35,110 @@ type Config struct {
 	SlowAfter time.Duration
 }
 
-// slowBuckets is the latency ladder the moving p99 estimate is computed
-// over (same 50µs..1s shape as the serving histograms; +Inf implicit).
-var slowBuckets = [...]int64{
-	50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000,
-	25_000_000, 50_000_000, 100_000_000, 250_000_000,
-	500_000_000, 1_000_000_000,
-}
-
 // slowRecomputeEvery is how many finished traces elapse between p99
 // threshold refreshes; it is also the minimum sample before the adaptive
 // threshold arms (until then nothing is "slow").
 const slowRecomputeEvery = 128
+
+// tail is the tail-sampling core Tracer and RouterTracer share: the keep
+// policy (a reason the caller already decided, else slower than the slow
+// threshold, else the 1-in-N head sample), the moving p99 the adaptive
+// threshold is read from, and the kept/dropped counters.
+type tail struct {
+	cfg     Config
+	headCtr atomic.Uint64
+	// lat is the moving p99 estimate the adaptive slow threshold is read
+	// from (unused when cfg.SlowAfter pins the threshold).
+	lat *MovingP99
+	// kept / dropped count finished traces, kept split by reason (indexed
+	// like keepReasons).
+	kept    [len(keepReasons)]atomic.Uint64
+	dropped atomic.Uint64
+}
+
+// keep decides one finished trace. reason is a keep reason the caller has
+// already decided ("" for none); observe feeds totalNs to the moving p99.
+// It returns the reason the trace is kept for, or "" when it is dropped.
+func (c *tail) keep(reason string, totalNs int64, observe bool) string {
+	if observe && c.cfg.SlowAfter <= 0 {
+		c.lat.Observe(totalNs)
+	}
+	switch {
+	case reason != "":
+	case totalNs >= int64(c.SlowThreshold()):
+		reason = KeepSlow
+	case c.cfg.SampleEvery > 0 && c.headCtr.Add(1)%uint64(c.cfg.SampleEvery) == 0:
+		reason = KeepSampled
+	default:
+		c.dropped.Add(1)
+		return ""
+	}
+	for i, r := range keepReasons {
+		if r == reason {
+			c.kept[i].Add(1)
+		}
+	}
+	return reason
+}
+
+// SlowThreshold reports the current slow-trace bar (MaxInt64 duration
+// until the adaptive estimate arms).
+func (c *tail) SlowThreshold() time.Duration {
+	if c.cfg.SlowAfter > 0 {
+		return c.cfg.SlowAfter
+	}
+	return time.Duration(c.lat.Value())
+}
+
+// SlowSeconds reports the slow-trace bar in seconds as the metrics and
+// trace listings show it: 0 until the adaptive estimate arms.
+func (c *tail) SlowSeconds() float64 {
+	if c.cfg.SlowAfter > 0 {
+		return c.cfg.SlowAfter.Seconds()
+	}
+	return c.lat.Seconds()
+}
+
+// families renders the counters under prefix ("ioserve" or "iorouter");
+// traces names what is retained in the HELP text. Keep reasons render in
+// fixed order so scrapes are deterministic.
+func (c *tail) families(prefix, traces string) []PromFamily {
+	kept := PromFamily{
+		Name: prefix + "_traces_kept_total",
+		Help: strings.ToUpper(traces[:1]) + traces[1:] + " retained by tail-sampling, by reason.",
+		Type: "counter",
+	}
+	for i, reason := range keepReasons {
+		kept.Samples = append(kept.Samples, PromSample{Name: kept.Name, Labels: PromLabels("reason", reason), Value: float64(c.kept[i].Load())})
+	}
+	dropped := prefix + "_traces_dropped_total"
+	slow := prefix + "_trace_slow_threshold_seconds"
+	return []PromFamily{
+		kept,
+		{Name: dropped, Help: "Finished " + traces + " discarded by sampling.", Type: "counter",
+			Samples: []PromSample{{Name: dropped, Value: float64(c.dropped.Load())}}},
+		{Name: slow, Help: "Moving p99 threshold above which " + traces + " are always retained (0 until armed).", Type: "gauge",
+			Samples: []PromSample{{Name: slow, Value: c.SlowSeconds()}}},
+	}
+}
 
 // Tracer owns the request-trace lifecycle: pooled Trace records, the
 // tail-sampling keep policy, and the retained-trace ring. A nil *Tracer is
 // inert — Start returns nil and Finish of a nil trace is a no-op — so the
 // serving path can thread one unconditionally.
 type Tracer struct {
-	cfg  Config
-	ring *Ring
+	tail
+	ring *ring[Trace]
 	pool sync.Pool
 
 	// seq + idBase generate unique trace IDs without coordination.
 	seq    atomic.Uint64
 	idBase uint64
-	// headCtr implements the 1-in-N head sample.
-	headCtr atomic.Uint64
-
-	// lat is the moving p99 estimate the adaptive slow-trace threshold is
-	// read from (unused when cfg.SlowAfter pins the threshold).
-	lat *MovingP99
-
-	// kept / dropped count Finish outcomes, kept split by reason (indexed
-	// like keepReasons).
-	kept    [len(keepReasons)]atomic.Uint64
-	dropped atomic.Uint64
 }
 
 // NewTracer builds a tracer under cfg.
 func NewTracer(cfg Config) *Tracer {
-	tr := &Tracer{cfg: cfg, ring: NewRing(cfg.RingSize), lat: NewMovingP99(0)}
+	tr := &Tracer{tail: tail{cfg: cfg, lat: NewMovingP99(0)}, ring: newRing[Trace](cfg.RingSize)}
 	tr.idBase = uint64(time.Now().UnixNano()) << 16
 	tr.pool.New = func() any { return new(Trace) }
 	return tr
@@ -102,55 +162,28 @@ func (tr *Tracer) Finish(t *Trace) uint64 {
 	if tr == nil || t == nil {
 		return 0
 	}
-	// Shed and deadline-expired requests never reached the model, so their
-	// latency would poison the p99 the slow threshold adapts to.
-	if !t.Shed && !t.Deadline {
-		tr.observeLatency(t.Timings.TotalNs)
-	}
-	keep := -1
+	var reason string
 	switch {
 	case t.Shed:
-		keep = 2 // KeepShed
+		reason = KeepShed
 	case t.Deadline:
-		keep = 1 // KeepDeadline
+		reason = KeepDeadline
 	case t.Err != "":
-		keep = 0 // KeepError
+		reason = KeepError
 	case t.Timings.OoDFlagged > 0:
-		keep = 3 // KeepOoD
-	case t.Timings.TotalNs >= int64(tr.SlowThreshold()):
-		keep = 4 // KeepSlow
-	case tr.cfg.SampleEvery > 0 && tr.headCtr.Add(1)%uint64(tr.cfg.SampleEvery) == 0:
-		keep = 5 // KeepSampled
+		reason = KeepOoD
 	}
-	if keep < 0 {
-		tr.dropped.Add(1)
+	// Shed and deadline-expired requests never reached the model, so their
+	// latency would poison the p99 the slow threshold adapts to.
+	t.Keep = tr.keep(reason, t.Timings.TotalNs, !t.Shed && !t.Deadline)
+	if t.Keep == "" {
 		tr.pool.Put(t)
 		return 0
 	}
-	t.Keep = keepReasons[keep]
-	tr.kept[keep].Add(1)
 	id := t.ID
 	tr.ring.Push(t)
 	tr.pool.Put(t)
 	return id
-}
-
-// observeLatency feeds the moving p99 estimate (skipped when the threshold
-// is pinned — a fixed bar has nothing to adapt).
-func (tr *Tracer) observeLatency(ns int64) {
-	if tr.cfg.SlowAfter > 0 {
-		return
-	}
-	tr.lat.Observe(ns)
-}
-
-// SlowThreshold reports the current slow-trace bar (MaxInt64 duration
-// until the adaptive estimate arms).
-func (tr *Tracer) SlowThreshold() time.Duration {
-	if tr.cfg.SlowAfter > 0 {
-		return tr.cfg.SlowAfter
-	}
-	return time.Duration(tr.lat.Value())
 }
 
 // Recent returns up to limit retained traces, newest first.
@@ -159,25 +192,5 @@ func (tr *Tracer) Recent(limit int) []Trace { return tr.ring.Snapshot(limit) }
 // Get returns the retained trace with the given ID.
 func (tr *Tracer) Get(id uint64) (Trace, bool) { return tr.ring.Get(id) }
 
-// WriteMetrics renders the tracer's exposition series (register with
-// serve.Metrics.RegisterCollector). Keep reasons render in fixed order so
-// scrapes are deterministic.
-func (tr *Tracer) WriteMetrics(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_traces_kept_total Traces retained by tail-sampling, by reason.\n# TYPE ioserve_traces_kept_total counter\n"); err != nil {
-		return err
-	}
-	for i, reason := range keepReasons {
-		if _, err := fmt.Fprintf(w, "ioserve_traces_kept_total{reason=%q} %d\n", reason, tr.kept[i].Load()); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_traces_dropped_total Finished traces discarded by sampling.\n# TYPE ioserve_traces_dropped_total counter\nioserve_traces_dropped_total %d\n", tr.dropped.Load()); err != nil {
-		return err
-	}
-	slow := int64(tr.SlowThreshold())
-	if slow == math.MaxInt64 {
-		slow = 0 // not yet armed; exposing MaxInt64 would wreck dashboards
-	}
-	_, err := fmt.Fprintf(w, "# HELP ioserve_trace_slow_threshold_seconds Moving p99 threshold above which traces are always retained (0 until armed).\n# TYPE ioserve_trace_slow_threshold_seconds gauge\nioserve_trace_slow_threshold_seconds %g\n", float64(slow)/1e9)
-	return err
-}
+// Families returns the tracer's ioserve_trace* metric families.
+func (tr *Tracer) Families() []PromFamily { return tr.families("ioserve", "traces") }

@@ -133,7 +133,7 @@ func TestTracerWriteMetrics(t *testing.T) {
 	tc := tr.Start("theta", 1, time.Now())
 	tr.Finish(tc)
 	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
+	if err := WritePromText(&sb, tr.Families()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"fmt"
-	"io"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -190,20 +188,20 @@ func (g *Gate) Status() GateStatus {
 	return st
 }
 
-// writeMetrics renders the ioserve_admission_* series. Shed reasons render
+// families renders the {prefix}_admission_* series. Shed reasons render
 // in fixed order so scrapes are deterministic.
-func (g *Gate) writeMetrics(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_admission_admitted_total Requests admitted by the gate.\n# TYPE ioserve_admission_admitted_total counter\nioserve_admission_admitted_total %d\n", g.admitted.Load()); err != nil {
-		return err
+func (g *Gate) families(prefix string) []obs.PromFamily {
+	scalar := func(name, help, typ string, v float64) obs.PromFamily {
+		return obs.PromFamily{Name: name, Help: help, Type: typ, Samples: []obs.PromSample{{Name: name, Value: v}}}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_admission_shed_total Requests shed by the gate, by reason.\n# TYPE ioserve_admission_shed_total counter\n"); err != nil {
-		return err
-	}
+	shed := obs.PromFamily{Name: prefix + "_admission_shed_total", Help: "Requests shed by the gate, by reason.", Type: "counter"}
 	for i, r := range shedReasons {
-		if _, err := fmt.Fprintf(w, "ioserve_admission_shed_total{reason=%q} %d\n", string(r), g.shed[i].Load()); err != nil {
-			return err
-		}
+		shed.Samples = append(shed.Samples, obs.PromSample{Name: shed.Name, Labels: obs.PromLabels("reason", string(r)), Value: float64(g.shed[i].Load())})
 	}
-	_, err := fmt.Fprintf(w, "# HELP ioserve_admission_inflight Currently admitted requests.\n# TYPE ioserve_admission_inflight gauge\nioserve_admission_inflight %d\n# HELP ioserve_admission_p99_seconds Moving p99 of accepted-request latency (0 until armed).\n# TYPE ioserve_admission_p99_seconds gauge\nioserve_admission_p99_seconds %g\n", g.inflight.Load(), g.p99.Seconds())
-	return err
+	return []obs.PromFamily{
+		scalar(prefix+"_admission_admitted_total", "Requests admitted by the gate.", "counter", float64(g.admitted.Load())),
+		shed,
+		scalar(prefix+"_admission_inflight", "Currently admitted requests.", "gauge", float64(g.inflight.Load())),
+		scalar(prefix+"_admission_p99_seconds", "Moving p99 of accepted-request latency (0 until armed).", "gauge", g.p99.Seconds()),
+	}
 }

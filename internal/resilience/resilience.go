@@ -13,11 +13,12 @@ package resilience
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
+
+	"iotaxo/internal/obs"
 )
 
 // Set aggregates one process's resilience surfaces — at most one admission
@@ -110,52 +111,36 @@ func (s *Set) Status() Status {
 	return st
 }
 
-// WriteMetrics renders the set's exposition series (register with
-// serve.Metrics.RegisterCollector). Breakers render sorted by name so
-// scrapes are deterministic.
-func (s *Set) WriteMetrics(w io.Writer) error {
+// Families returns the set's metric families under prefix: ioserve for a
+// replica, iorouter for the router's per-replica breakers, so a router's
+// own breakers never share a family with the replica breakers it merges
+// from the fleet scrape. Breakers render sorted by name so scrapes are
+// deterministic.
+func (s *Set) Families(prefix string) []obs.PromFamily {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	gate, breakers := s.gate, s.breakers
 	s.mu.Unlock()
+	var fams []obs.PromFamily
 	if gate != nil {
-		if err := gate.writeMetrics(w); err != nil {
-			return err
-		}
+		fams = gate.families(prefix)
 	}
 	if len(breakers) == 0 {
-		return nil
+		return fams
 	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_breaker_state Circuit breaker state (0 closed, 1 half-open, 2 open).\n# TYPE ioserve_breaker_state gauge\n"); err != nil {
-		return err
-	}
+	state := obs.PromFamily{Name: prefix + "_breaker_state", Help: "Circuit breaker state (0 closed, 1 half-open, 2 open).", Type: "gauge"}
+	trips := obs.PromFamily{Name: prefix + "_breaker_trips_total", Help: "Times each breaker transitioned closed/half-open to open.", Type: "counter"}
+	failures := obs.PromFamily{Name: prefix + "_breaker_failures_total", Help: "Operation failures observed by each breaker.", Type: "counter"}
 	for _, b := range breakers {
 		st := b.Status()
-		if _, err := fmt.Fprintf(w, "ioserve_breaker_state{name=%q} %d\n", st.Name, stateGaugeValue(st.State)); err != nil {
-			return err
-		}
+		labels := obs.PromLabels("name", st.Name)
+		state.Samples = append(state.Samples, obs.PromSample{Name: state.Name, Labels: labels, Value: float64(stateGaugeValue(st.State))})
+		trips.Samples = append(trips.Samples, obs.PromSample{Name: trips.Name, Labels: labels, Value: float64(st.Trips)})
+		failures.Samples = append(failures.Samples, obs.PromSample{Name: failures.Name, Labels: labels, Value: float64(st.Failures)})
 	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_breaker_trips_total Times each breaker transitioned closed/half-open to open.\n# TYPE ioserve_breaker_trips_total counter\n"); err != nil {
-		return err
-	}
-	for _, b := range breakers {
-		st := b.Status()
-		if _, err := fmt.Fprintf(w, "ioserve_breaker_trips_total{name=%q} %d\n", st.Name, st.Trips); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_breaker_failures_total Operation failures observed by each breaker.\n# TYPE ioserve_breaker_failures_total counter\n"); err != nil {
-		return err
-	}
-	for _, b := range breakers {
-		st := b.Status()
-		if _, err := fmt.Fprintf(w, "ioserve_breaker_failures_total{name=%q} %d\n", st.Name, st.Failures); err != nil {
-			return err
-		}
-	}
-	return nil
+	return append(fams, state, trips, failures)
 }
 
 func stateGaugeValue(state string) int {

@@ -353,18 +353,6 @@ func (b *Batcher) deliver(wave *waveReq, resp waveResp) {
 	b.inflight.Add(-1)
 }
 
-// Submit is the single-row convenience path.
-func (b *Batcher) Submit(ctx context.Context, mv *ModelVersion, row []float64) (Result, error) {
-	rows := [][]float64{row}
-	results, _, err := b.SubmitWave(ctx, mv, rows)
-	if err != nil {
-		return Result{}, err
-	}
-	res := results[0]
-	putResults(results)
-	return res, nil
-}
-
 // workerState is one worker's reusable flush machinery: the collected
 // waves, the per-version grouping, the gathered row headers, and the
 // straggler timer all keep their backing storage across iterations, so a

@@ -99,7 +99,7 @@ func TestStragglerTimerFires(t *testing.T) {
 	row := frame.Row(7)
 	done := make(chan Result, 1)
 	go func() {
-		res, err := b.Submit(context.Background(), v2, row)
+		res, err := submitRow(b, context.Background(), v2, row)
 		if err != nil {
 			t.Error(err)
 		}
@@ -145,7 +145,7 @@ func TestStragglerPartnerStopsTimer(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(i int) {
 		defer wg.Done()
-		res, err := b.Submit(context.Background(), v2, frame.Row(i))
+		res, err := submitRow(b, context.Background(), v2, frame.Row(i))
 		if err != nil {
 			t.Error(err)
 			return

@@ -15,7 +15,7 @@ func TestBatcherMatchesDirectEvaluation(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		row := frame.Row(i)
-		res, err := b.Submit(ctx, v2, row)
+		res, err := submitRow(b, ctx, v2, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.Submit(context.Background(), v2, frame.Row(i))
+			_, errs[i] = submitRow(b, context.Background(), v2, frame.Row(i))
 		}(i)
 	}
 	wg.Wait()
@@ -72,7 +72,7 @@ func TestBatcherMixedVersionsInOneBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int, mv *ModelVersion) {
 			defer wg.Done()
-			results[i], errs[i] = b.Submit(context.Background(), mv, row)
+			results[i], errs[i] = submitRow(b, context.Background(), mv, row)
 		}(i, mv)
 	}
 	wg.Wait()
@@ -148,7 +148,7 @@ func TestBatcherClose(t *testing.T) {
 	_, _, v2 := fixture(t)
 	b := NewBatcher(4, time.Millisecond, 1, nil)
 	b.Close()
-	if _, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns))); err == nil {
+	if _, err := submitRow(b, context.Background(), v2, make([]float64, len(v2.Columns))); err == nil {
 		t.Error("submit after close succeeded")
 	}
 }
@@ -159,7 +159,18 @@ func TestBatcherContextCancel(t *testing.T) {
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(ctx, v2, make([]float64, len(v2.Columns))); err == nil {
+	if _, err := submitRow(b, ctx, v2, make([]float64, len(v2.Columns))); err == nil {
 		t.Error("submit with canceled context succeeded")
 	}
+}
+
+// submitRow submits one row as a single-row wave and returns its result.
+func submitRow(b *Batcher, ctx context.Context, mv *ModelVersion, row []float64) (Result, error) {
+	results, _, err := b.SubmitWave(ctx, mv, [][]float64{row})
+	if err != nil {
+		return Result{}, err
+	}
+	res := results[0]
+	putResults(results)
+	return res, nil
 }

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,12 +65,12 @@ type Metrics struct {
 	CacheInvalidated atomic.Uint64
 
 	// Latency is the predict-call latency histogram.
-	Latency LatencyHist
+	Latency obs.LatencyHist
 	// stages are the per-stage latency histograms (one labeled family,
 	// ioserve_stage_latency_seconds{stage=...}), fed by ObserveStages so a
 	// p99 regression can be split into queue wait vs wave assembly vs
 	// evaluate vs guard work.
-	stages [obs.NumStages]LatencyHist
+	stages [obs.NumStages]obs.LatencyHist
 	// QueueDepthFn / InflightWavesFn report the batcher's instantaneous
 	// queue depth and unanswered-wave count at scrape time (wired by
 	// NewService; nil leaves the gauges out of the exposition).
@@ -81,20 +81,19 @@ type Metrics struct {
 	// shadowStats maps ShadowKey -> *ShadowStat.
 	shadowStats sync.Map
 
-	// collectorMu guards collectors: extra exposition writers registered
-	// by subsystems outside serve (e.g. internal/drift), appended to the
+	// collectorMu guards collectors: extra metric families contributed by
+	// subsystems outside serve (e.g. internal/drift), appended to the
 	// /metrics output after the built-in series.
 	collectorMu sync.Mutex
-	collectors  []func(io.Writer) error
+	collectors  []func() []obs.PromFamily
 }
 
-// RegisterCollector appends an extra Prometheus-text writer to the
+// RegisterCollector appends an extra source of metric families to the
 // /metrics output and returns a function that unregisters it. Collectors
-// run after the built-in series, in registration order; a collector must
-// write complete series (HELP/TYPE plus samples) under its own metric
-// names. Subsystems with a lifecycle (e.g. internal/drift) must
+// run after the built-in series, in registration order, and must use their
+// own metric names. Subsystems with a lifecycle (e.g. internal/drift) must
 // unregister on close, or a replacement would duplicate metric families.
-func (m *Metrics) RegisterCollector(c func(io.Writer) error) (unregister func()) {
+func (m *Metrics) RegisterCollector(c func() []obs.PromFamily) (unregister func()) {
 	m.collectorMu.Lock()
 	m.collectors = append(m.collectors, c)
 	idx := len(m.collectors) - 1
@@ -292,82 +291,8 @@ func (m *Metrics) ShadowSnapshots(system string) []ShadowSnapshot {
 	return out
 }
 
-// numLatencyBuckets is the finite bucket count of the latency histogram.
-const numLatencyBuckets = 14
-
-// latencyBuckets are the histogram upper bounds in nanoseconds (50µs .. 1s,
-// roughly 1-2.5-5 per decade). Prometheus convention: cumulative buckets
-// plus an implicit +Inf.
-var latencyBuckets = [numLatencyBuckets]uint64{
-	50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000, 10_000_000,
-	25_000_000, 50_000_000, 100_000_000, 250_000_000,
-	500_000_000, 1_000_000_000,
-}
-
-// LatencyHist is a fixed-bucket latency histogram with atomic counters.
-type LatencyHist struct {
-	// buckets[i] counts observations <= latencyBuckets[i]; overflow counts
-	// the +Inf remainder.
-	buckets  [numLatencyBuckets]atomic.Uint64
-	overflow atomic.Uint64
-	sumNs    atomic.Uint64
-	count    atomic.Uint64
-}
-
-// Observe records one request duration.
-func (h *LatencyHist) Observe(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	h.sumNs.Add(ns)
-	h.count.Add(1)
-	for i, ub := range latencyBuckets {
-		if ns <= ub {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.overflow.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *LatencyHist) Count() uint64 { return h.count.Load() }
-
-// writeText renders the histogram in Prometheus exposition format.
-func (h *LatencyHist) writeText(w io.Writer, name string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s Predict call latency.\n# TYPE %s histogram\n", name, name); err != nil {
-		return err
-	}
-	return h.writeSeries(w, name, "")
-}
-
-// writeSeries renders the bucket/sum/count sample lines, merging extra
-// label pairs (e.g. `stage="queue_wait",`) ahead of le so one histogram
-// family can carry several labeled series under a single HELP/TYPE header.
-func (h *LatencyHist) writeSeries(w io.Writer, name, labels string) error {
-	var cum uint64
-	for i, ub := range latencyBuckets {
-		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, labels, float64(ub)/1e9, cum); err != nil {
-			return err
-		}
-	}
-	cum += h.overflow.Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum); err != nil {
-		return err
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels[:len(labels)-1] + "}"
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, float64(h.sumNs.Load())/1e9); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, h.count.Load())
-	return err
-}
-
 // StageHist returns the latency histogram of one pipeline stage.
-func (m *Metrics) StageHist(st obs.Stage) *LatencyHist { return &m.stages[st] }
+func (m *Metrics) StageHist(st obs.Stage) *obs.LatencyHist { return &m.stages[st] }
 
 // ObserveStages records one request's per-stage split. cache_lookup and
 // observe record on every request; the batcher stages record whenever the
@@ -388,21 +313,6 @@ func (m *Metrics) ObserveStages(tm *obs.StageTimings) {
 	}
 }
 
-// writeStageText renders the per-stage histograms as one labeled family,
-// stages in pipeline order (fixed, so scrapes are diffable).
-func (m *Metrics) writeStageText(w io.Writer) error {
-	const name = "ioserve_stage_latency_seconds"
-	if _, err := fmt.Fprintf(w, "# HELP %s Predict latency attributed to one pipeline stage.\n# TYPE %s histogram\n", name, name); err != nil {
-		return err
-	}
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		if err := m.stages[st].writeSeries(w, name, fmt.Sprintf("stage=%q,", st.String())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MeanBatchSize returns evaluated rows per micro-batch (0 if none ran).
 func (m *Metrics) MeanBatchSize() float64 {
 	b := m.Batches.Load()
@@ -421,40 +331,45 @@ func (m *Metrics) HitRatio() float64 {
 	return float64(h) / float64(h+ms)
 }
 
-// WriteText renders the counters in Prometheus text exposition format: the
-// unlabeled totals, the per-system series (under their own
-// ioserve_system_* names, so aggregating either family never double
-// counts — totals also include failures that never resolved to a system),
-// then the derived gauges and the latency histogram.
-func (m *Metrics) WriteText(w io.Writer) error {
-	counters := []struct {
-		name, help string
-		val        uint64
-	}{
-		{"ioserve_requests_total", "Predict calls served.", m.Requests.Load()},
-		{"ioserve_predictions_total", "Rows predicted.", m.Predictions.Load()},
-		{"ioserve_cache_hits_total", "Predictions answered from the duplicate cache.", m.CacheHits.Load()},
-		{"ioserve_cache_misses_total", "Predictions evaluated by a model.", m.CacheMisses.Load()},
-		{"ioserve_ood_flagged_total", "Predictions flagged out-of-distribution.", m.OoDFlagged.Load()},
-		{"ioserve_batches_total", "Micro-batches evaluated.", m.Batches.Load()},
-		{"ioserve_batched_rows_total", "Rows evaluated through micro-batches.", m.BatchedRows.Load()},
-		{"ioserve_errors_total", "Failed predict calls.", m.Errors.Load()},
-		{"ioserve_deadline_dropped_waves_total", "Waves dropped from micro-batches before evaluation because their deadline expired.", m.DeadlineDropped.Load()},
-		{"ioserve_eval_panics_recovered_total", "Panics recovered inside wave-group evaluation.", m.PanicsRecovered.Load()},
-		{"ioserve_latency_ns_total", "Cumulative predict latency in nanoseconds.", m.LatencyNs.Load()},
-		{"ioserve_reload_polls_total", "Registry reload polls.", m.ReloadPolls.Load()},
-		{"ioserve_reloads_applied_total", "Reload polls that changed the live version set.", m.ReloadApplied.Load()},
-		{"ioserve_reload_errors_total", "Failed reload polls or version loads.", m.ReloadErrors.Load()},
-		{"ioserve_version_swaps_total", "Model bundles added, replaced, or retired by reloads.", m.VersionSwaps.Load()},
-		{"ioserve_cache_invalidated_total", "Cache entries dropped on version bumps.", m.CacheInvalidated.Load()},
+// WriteText renders Families in the Prometheus text exposition format.
+func (m *Metrics) WriteText(w io.Writer) error { return obs.WritePromText(w, m.Families()) }
+
+// Families returns the service's metric families: the unlabeled totals,
+// the per-system series (under their own ioserve_system_* names, so
+// aggregating either family never double counts — totals also include
+// failures that never resolved to a system), the derived gauges, the
+// shadow comparisons, the latency histograms, then every registered
+// collector's families.
+func (m *Metrics) Families() []obs.PromFamily {
+	var fams []obs.PromFamily
+	scalar := func(name, help, typ string, v float64) {
+		fams = append(fams, obs.PromFamily{Name: name, Help: help, Type: typ, Samples: []obs.PromSample{{Name: name, Value: v}}})
 	}
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.val); err != nil {
-			return err
-		}
+	for _, c := range []struct {
+		name, help string
+		val        *atomic.Uint64
+	}{
+		{"ioserve_requests_total", "Predict calls served.", &m.Requests},
+		{"ioserve_predictions_total", "Rows predicted.", &m.Predictions},
+		{"ioserve_cache_hits_total", "Predictions answered from the duplicate cache.", &m.CacheHits},
+		{"ioserve_cache_misses_total", "Predictions evaluated by a model.", &m.CacheMisses},
+		{"ioserve_ood_flagged_total", "Predictions flagged out-of-distribution.", &m.OoDFlagged},
+		{"ioserve_batches_total", "Micro-batches evaluated.", &m.Batches},
+		{"ioserve_batched_rows_total", "Rows evaluated through micro-batches.", &m.BatchedRows},
+		{"ioserve_errors_total", "Failed predict calls.", &m.Errors},
+		{"ioserve_deadline_dropped_waves_total", "Waves dropped from micro-batches before evaluation because their deadline expired.", &m.DeadlineDropped},
+		{"ioserve_eval_panics_recovered_total", "Panics recovered inside wave-group evaluation.", &m.PanicsRecovered},
+		{"ioserve_latency_ns_total", "Cumulative predict latency in nanoseconds.", &m.LatencyNs},
+		{"ioserve_reload_polls_total", "Registry reload polls.", &m.ReloadPolls},
+		{"ioserve_reloads_applied_total", "Reload polls that changed the live version set.", &m.ReloadApplied},
+		{"ioserve_reload_errors_total", "Failed reload polls or version loads.", &m.ReloadErrors},
+		{"ioserve_version_swaps_total", "Model bundles added, replaced, or retired by reloads.", &m.VersionSwaps},
+		{"ioserve_cache_invalidated_total", "Cache entries dropped on version bumps.", &m.CacheInvalidated},
+	} {
+		scalar(c.name, c.help, "counter", float64(c.val.Load()))
 	}
 	systems := m.Systems()
-	perSystem := []struct {
+	for _, c := range []struct {
 		name, help string
 		pick       func(*SystemMetrics) *atomic.Uint64
 	}{
@@ -470,73 +385,53 @@ func (m *Metrics) WriteText(w io.Writer) error {
 			func(s *SystemMetrics) *atomic.Uint64 { return &s.OoDFlagged }},
 		{"ioserve_system_errors_total", "Failed predict calls, by system.",
 			func(s *SystemMetrics) *atomic.Uint64 { return &s.Errors }},
-	}
-	for _, c := range perSystem {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name); err != nil {
-			return err
-		}
+	} {
+		f := obs.PromFamily{Name: c.name, Help: c.help, Type: "counter"}
 		for _, name := range systems {
-			if _, err := fmt.Fprintf(w, "%s{system=%q} %d\n", c.name, name, c.pick(m.System(name)).Load()); err != nil {
-				return err
-			}
+			f.Samples = append(f.Samples, obs.PromSample{Name: c.name, Labels: obs.PromLabels("system", name), Value: float64(c.pick(m.System(name)).Load())})
 		}
+		fams = append(fams, f)
 	}
-	gauges := []struct {
-		name, help string
-		val        float64
-	}{
-		{"ioserve_batch_size_mean", "Mean rows per evaluated micro-batch.", m.MeanBatchSize()},
-		{"ioserve_cache_hit_ratio", "Fraction of predictions answered from cache.", m.HitRatio()},
-	}
+	scalar("ioserve_batch_size_mean", "Mean rows per evaluated micro-batch.", "gauge", m.MeanBatchSize())
+	scalar("ioserve_cache_hit_ratio", "Fraction of predictions answered from cache.", "gauge", m.HitRatio())
 	if m.QueueDepthFn != nil {
-		gauges = append(gauges, struct {
-			name, help string
-			val        float64
-		}{"ioserve_batch_queue_depth", "Waves waiting in the batcher queue at scrape time.", float64(m.QueueDepthFn())})
+		scalar("ioserve_batch_queue_depth", "Waves waiting in the batcher queue at scrape time.", "gauge", float64(m.QueueDepthFn()))
 	}
 	if m.InflightWavesFn != nil {
-		gauges = append(gauges, struct {
-			name, help string
-			val        float64
-		}{"ioserve_batch_inflight_waves", "Waves enqueued but not yet answered at scrape time.", float64(m.InflightWavesFn())})
+		scalar("ioserve_batch_inflight_waves", "Waves enqueued but not yet answered at scrape time.", "gauge", float64(m.InflightWavesFn()))
 	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", g.name, g.help, g.name, g.name, g.val); err != nil {
-			return err
-		}
+	fams = append(fams, m.shadowFamilies()...)
+	fams = append(fams, obs.PromFamily{Name: "ioserve_request_latency_seconds", Help: "Predict call latency.", Type: "histogram",
+		Samples: m.Latency.Samples("ioserve_request_latency_seconds")})
+	// The per-stage histograms share one labeled family, stages in
+	// pipeline order (fixed, so scrapes are diffable).
+	stages := obs.PromFamily{Name: "ioserve_stage_latency_seconds", Help: "Predict latency attributed to one pipeline stage.", Type: "histogram"}
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		stages.Samples = append(stages.Samples, m.stages[st].Samples(stages.Name, "stage", st.String())...)
 	}
-	if err := m.writeShadowText(w); err != nil {
-		return err
-	}
-	if err := m.Latency.writeText(w, "ioserve_request_latency_seconds"); err != nil {
-		return err
-	}
-	if err := m.writeStageText(w); err != nil {
-		return err
-	}
+	fams = append(fams, stages)
+
 	m.collectorMu.Lock()
-	extra := append([]func(io.Writer) error(nil), m.collectors...)
+	extra := append([]func() []obs.PromFamily(nil), m.collectors...)
 	m.collectorMu.Unlock()
 	for _, c := range extra {
-		if c == nil { // unregistered
-			continue
-		}
-		if err := c(w); err != nil {
-			return err
+		if c != nil { // nil: unregistered
+			fams = append(fams, c()...)
 		}
 	}
-	return nil
+	return fams
 }
 
-// writeShadowText renders the per-comparison shadow series. Counters carry
+// shadowFamilies renders the per-comparison shadow series. Counters carry
 // {system, primary, target, role} labels; the derived means are gauges so
 // dashboards can plot the version delta without scraping two series.
-func (m *Metrics) writeShadowText(w io.Writer) error {
+func (m *Metrics) shadowFamilies() []obs.PromFamily {
 	snaps := m.ShadowSnapshots("")
 	if len(snaps) == 0 {
 		return nil
 	}
-	series := []struct {
+	var fams []obs.PromFamily
+	for _, sr := range []struct {
 		name, help, kind string
 		val              func(ShadowSnapshot) float64
 	}{
@@ -554,17 +449,13 @@ func (m *Metrics) writeShadowText(w io.Writer) error {
 			func(s ShadowSnapshot) float64 { return s.OoDAgreement }},
 		{"ioserve_shadow_latency_seconds_mean", "Mean target evaluation time per mirrored row.", "gauge",
 			func(s ShadowSnapshot) float64 { return s.MeanLatency }},
-	}
-	for _, sr := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sr.name, sr.help, sr.name, sr.kind); err != nil {
-			return err
-		}
+	} {
+		f := obs.PromFamily{Name: sr.name, Help: sr.help, Type: sr.kind}
 		for _, s := range snaps {
-			if _, err := fmt.Fprintf(w, "%s{system=%q,primary=\"%d\",target=\"%d\",role=%q} %g\n",
-				sr.name, s.System, s.Primary, s.Target, s.Role, sr.val(s)); err != nil {
-				return err
-			}
+			labels := obs.PromLabels("system", s.System, "primary", strconv.Itoa(s.Primary), "target", strconv.Itoa(s.Target), "role", s.Role)
+			f.Samples = append(f.Samples, obs.PromSample{Name: sr.name, Labels: labels, Value: sr.val(s)})
 		}
+		fams = append(fams, f)
 	}
-	return nil
+	return fams
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,10 +127,10 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		tr.Finish(trace)
 	}
 
-	m.RegisterCollector(obs.WriteRuntimeMetrics)
+	m.RegisterCollector(obs.RuntimeFamilies)
 
 	set := resilience.NewSet()
-	m.RegisterCollector(set.WriteMetrics)
+	m.RegisterCollector(func() []obs.PromFamily { return set.Families("ioserve") })
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 2, HardLimit: 3})
 	set.SetGate(gate)
 	for i := 0; i < 4; i++ {
@@ -166,7 +165,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	} {
 		slo.Observe(o.class, o.status, o.d)
 	}
-	m.RegisterCollector(func(w io.Writer) error { return slo.WriteMetrics("ioserve", w) })
+	m.RegisterCollector(func() []obs.PromFamily { return slo.Families("ioserve") })
 
 	var buf bytes.Buffer
 	if err := m.WriteText(&buf); err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"iotaxo/internal/obs"
 	"iotaxo/internal/resilience"
 	"iotaxo/internal/resilience/chaos"
 )
@@ -37,7 +38,7 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 	var pinErr error
 	go func() {
 		defer pin.Done()
-		_, pinErr = b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+		_, pinErr = submitRow(b, context.Background(), v2, make([]float64, len(v2.Columns)))
 	}()
 	time.Sleep(10 * time.Millisecond) // let the worker enter the slow evaluation
 
@@ -50,7 +51,7 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
-			_, errs[i] = b.Submit(ctx, v2, make([]float64, len(v2.Columns)))
+			_, errs[i] = submitRow(b, ctx, v2, make([]float64, len(v2.Columns)))
 		}(i)
 	}
 	wg.Wait()
@@ -72,7 +73,7 @@ func TestBatcherDeadlineMidQueue(t *testing.T) {
 		t.Errorf("%d rows evaluated, want 1 (expired rows must not be)", got)
 	}
 	// Recycled waveReqs must be clean: a fresh submission still works.
-	res, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+	res, err := submitRow(b, context.Background(), v2, make([]float64, len(v2.Columns)))
 	if err != nil {
 		t.Fatalf("batcher unserviceable after deadline storm: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 	// Every evaluation panics; every submission must get an error back and
 	// the worker must survive to serve the next wave.
 	for i := 0; i < 3; i++ {
-		_, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+		_, err := submitRow(b, context.Background(), v2, make([]float64, len(v2.Columns)))
 		if !errors.Is(err, ErrEvalPanic) {
 			t.Fatalf("submit %d: err = %v, want ErrEvalPanic", i, err)
 		}
@@ -105,7 +106,7 @@ func TestBatcherChaosError(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Config{ErrorProb: 1}, 1)
 	b := newBatcher(8, time.Millisecond, 1, &Metrics{}, inj)
 	defer b.Close()
-	_, err := b.Submit(context.Background(), v2, make([]float64, len(v2.Columns)))
+	_, err := submitRow(b, context.Background(), v2, make([]float64, len(v2.Columns)))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want chaos.ErrInjected", err)
 	}
@@ -118,7 +119,7 @@ func TestServerAdmissionSheds(t *testing.T) {
 	gate := resilience.NewGate(resilience.GateConfig{MaxInflight: 1, HardLimit: 2, RetryAfter: 2 * time.Second})
 	set := resilience.NewSet()
 	set.SetGate(gate)
-	svc.Metrics().RegisterCollector(set.WriteMetrics)
+	svc.Metrics().RegisterCollector(func() []obs.PromFamily { return set.Families("ioserve") })
 	ts := httptest.NewServer(NewHandler(svc, HandlerConfig{Gate: gate, Resilience: set}))
 	t.Cleanup(ts.Close)
 	frame, _, _ := fixture(t)

@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync/atomic"
 	"time"
@@ -155,34 +154,29 @@ func NewService(reg *Registry, opt Options) *Service {
 	}
 	m.QueueDepthFn = s.batcher.QueueDepth
 	m.InflightWavesFn = s.batcher.InflightWaves
-	m.RegisterCollector(s.writeVersionMetrics)
+	m.RegisterCollector(s.versionFamilies)
 	if opt.TraceEvery > 0 {
 		s.tracer = obs.NewTracer(obs.Config{
 			SampleEvery: opt.TraceEvery,
 			RingSize:    opt.TraceBuffer,
 			SlowAfter:   opt.TraceSlowAfter,
 		})
-		m.RegisterCollector(s.tracer.WriteMetrics)
+		m.RegisterCollector(s.tracer.Families)
 	}
 	return s
 }
 
-// writeVersionMetrics renders each system's serving-default version as a
+// versionFamilies renders each system's serving-default version as a
 // gauge, so one metrics scrape carries the topology a fleet router needs —
 // publish propagation is observable without a second admin request.
-func (s *Service) writeVersionMetrics(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP ioserve_active_version The serving-default model version per system.\n# TYPE ioserve_active_version gauge\n"); err != nil {
-		return err
-	}
+func (s *Service) versionFamilies() []obs.PromFamily {
+	f := obs.PromFamily{Name: "ioserve_active_version", Help: "The serving-default model version per system.", Type: "gauge"}
 	for _, info := range s.reg.List() {
-		if !info.Active {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "ioserve_active_version{system=%q} %d\n", info.System, info.Version); err != nil {
-			return err
+		if info.Active {
+			f.Samples = append(f.Samples, obs.PromSample{Name: f.Name, Labels: obs.PromLabels("system", info.System), Value: float64(info.Version)})
 		}
 	}
-	return nil
+	return []obs.PromFamily{f}
 }
 
 // Close stops the reloader (if attached), the shadow mirror, and the

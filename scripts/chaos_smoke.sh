@@ -7,21 +7,18 @@
 # Knobs (env): CHAOS_SPEC, REQUESTS, CONCURRENCY, ADDR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE=chaos-smoke
+source scripts/lib.sh
 
 ADDR="${ADDR:-127.0.0.1:18080}"
 CHAOS_SPEC="${CHAOS_SPEC:-latency=5ms:0.5,error=0.05,panic=0.02,corrupt=0.2}"
 REQUESTS="${REQUESTS:-400}"
 CONCURRENCY="${CONCURRENCY:-16}"
 
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
-
-echo "chaos-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/ioload" ./cmd/ioload
+build ioserve ioload
 
 echo "chaos-smoke: starting ioserve with -chaos '$CHAOS_SPEC'"
-"$workdir/ioserve" \
+start "$workdir/ioserve.log" "$workdir/ioserve" \
   -addr "$ADDR" \
   -bootstrap -models "$workdir/registry" -jobs 800 -versions 1 \
   -chaos "$CHAOS_SPEC" \
@@ -29,29 +26,12 @@ echo "chaos-smoke: starting ioserve with -chaos '$CHAOS_SPEC'"
   -default-deadline 2s \
   -reload-interval 1s \
   -shutdown-grace 10s \
-  -workers 1 \
-  >"$workdir/ioserve.log" 2>&1 &
-server_pid=$!
-
-cleanup_server() {
-  kill -9 "$server_pid" 2>/dev/null || true
-}
-trap 'cleanup_server; rm -rf "$workdir"' EXIT
+  -workers 1
+server_pid="${pids[-1]}"
 
 # Bootstrap trains models, so give the health check a generous window.
 echo "chaos-smoke: waiting for /healthz"
-for i in $(seq 1 120); do
-  if curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    echo "chaos-smoke: ioserve died during startup" >&2
-    cat "$workdir/ioserve.log" >&2
-    exit 1
-  fi
-  sleep 1
-done
-curl -fsS "http://$ADDR/healthz" >/dev/null
+wait_healthz "$ADDR" "ioserve" "$workdir/ioserve.log" "$server_pid"
 
 echo "chaos-smoke: driving $REQUESTS requests at concurrency $CONCURRENCY"
 # -rate 0 is a closed loop: saturation is the point. -expect-chaos makes
@@ -66,29 +46,9 @@ echo "chaos-smoke: driving $REQUESTS requests at concurrency $CONCURRENCY"
   -expect-chaos
 
 echo "chaos-smoke: asking for graceful shutdown"
-kill -TERM "$server_pid"
-shutdown_ok=1
-for i in $(seq 1 20); do
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    shutdown_ok=0
-    break
-  fi
-  sleep 1
-done
-if [ "$shutdown_ok" -ne 0 ]; then
-  echo "chaos-smoke: ioserve did not exit within 20s of SIGTERM" >&2
-  cat "$workdir/ioserve.log" >&2
-  exit 1
-fi
-wait "$server_pid" || {
-  echo "chaos-smoke: ioserve exited non-zero after SIGTERM" >&2
-  cat "$workdir/ioserve.log" >&2
-  exit 1
-}
+stop_clean "$server_pid" "ioserve" "$workdir/ioserve.log"
 if ! grep -q "shutdown complete" "$workdir/ioserve.log"; then
-  echo "chaos-smoke: no clean-shutdown marker in the server log" >&2
-  cat "$workdir/ioserve.log" >&2
-  exit 1
+  fail "no clean-shutdown marker in the server log" "$workdir/ioserve.log"
 fi
 
 echo "chaos-smoke: OK (faults injected, load shed, zero crashes, clean drain)"

@@ -8,6 +8,8 @@
 # Knobs (env): REQUESTS, CONCURRENCY, ROUTER_ADDR, REPLICA_BASE_PORT.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE=fleet-smoke
+source scripts/lib.sh
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:18070}"
 BASE_PORT="${REPLICA_BASE_PORT:-18081}"
@@ -18,53 +20,23 @@ R1="127.0.0.1:$BASE_PORT"
 R2="127.0.0.1:$((BASE_PORT + 1))"
 R3="127.0.0.1:$((BASE_PORT + 2))"
 
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    # The braced wait keeps bash from printing "Killed" job notices.
-    { kill -9 "$pid" && wait "$pid"; } 2>/dev/null || true
-  done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-echo "fleet-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/iorouter" ./cmd/iorouter
-go build -o "$workdir/ioload" ./cmd/ioload
-
-wait_healthz() { # addr name log
-  for i in $(seq 1 120); do
-    if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "fleet-smoke: $2 never became healthy" >&2
-  cat "$3" >&2
-  exit 1
-}
+build ioserve iorouter ioload
 
 start_replica() { # addr logfile
-  "$workdir/ioserve" \
+  start "$2" "$workdir/ioserve" \
     -addr "$1" \
     -models "$workdir/registry" \
     -reload-interval 1s \
-    -shutdown-grace 10s \
-    >"$2" 2>&1 &
-  pids+=($!)
+    -shutdown-grace 10s
 }
 
 # Replica 1 bootstraps the shared tree; 2 and 3 load it once it exists.
 echo "fleet-smoke: bootstrapping the shared registry via replica 1 ($R1)"
-"$workdir/ioserve" \
+start "$workdir/replica1.log" "$workdir/ioserve" \
   -addr "$R1" \
   -bootstrap -models "$workdir/registry" -jobs 600 -versions 1 \
   -reload-interval 1s \
-  -shutdown-grace 10s \
-  >"$workdir/replica1.log" 2>&1 &
-pids+=($!)
+  -shutdown-grace 10s
 wait_healthz "$R1" "replica 1" "$workdir/replica1.log"
 
 echo "fleet-smoke: starting replicas 2 ($R2) and 3 ($R3) over the same tree"
@@ -75,38 +47,15 @@ wait_healthz "$R2" "replica 2" "$workdir/replica2.log"
 wait_healthz "$R3" "replica 3" "$workdir/replica3.log"
 
 echo "fleet-smoke: starting iorouter on $ROUTER_ADDR"
-"$workdir/iorouter" \
+start "$workdir/iorouter.log" "$workdir/iorouter" \
   -addr "$ROUTER_ADDR" \
   -replicas "http://$R1,http://$R2,http://$R3" \
   -health-interval 250ms \
   -breaker-threshold 2 \
   -breaker-cooldown 2s \
-  -shutdown-grace 10s \
-  >"$workdir/iorouter.log" 2>&1 &
-router_pid=$!
-pids+=("$router_pid")
+  -shutdown-grace 10s
+router_pid="${pids[-1]}"
 wait_healthz "$ROUTER_ADDR" "iorouter" "$workdir/iorouter.log"
-
-wait_fleet_healthy() { # want
-  for i in $(seq 1 60); do
-    if curl -fsS "http://$ROUTER_ADDR/v1/fleet" 2>/dev/null | grep -q "\"healthy\":$1"; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "fleet-smoke: fleet never reached $1 healthy replicas" >&2
-  curl -fsS "http://$ROUTER_ADDR/v1/fleet" >&2 || true
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
-
-assert_zero_errors() { # report
-  if ! grep -Eq "^requests +[0-9]+ \(0 errors\)$" "$1"; then
-    echo "fleet-smoke: load run reported request errors" >&2
-    cat "$1" >&2
-    exit 1
-  fi
-}
 
 echo "fleet-smoke: phase 1 — $REQUESTS requests across the full fleet"
 "$workdir/ioload" \
@@ -152,25 +101,7 @@ wait_healthz "$R2" "restarted replica 2" "$workdir/replica2b.log"
 wait_fleet_healthy 3
 
 echo "fleet-smoke: asking the router for graceful shutdown"
-kill -TERM "$router_pid"
-shutdown_ok=1
-for i in $(seq 1 20); do
-  if ! kill -0 "$router_pid" 2>/dev/null; then
-    shutdown_ok=0
-    break
-  fi
-  sleep 1
-done
-if [ "$shutdown_ok" -ne 0 ]; then
-  echo "fleet-smoke: iorouter did not exit within 20s of SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-fi
-wait "$router_pid" || {
-  echo "fleet-smoke: iorouter exited non-zero after SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
+stop_clean "$router_pid" "iorouter" "$workdir/iorouter.log"
 if ! grep -q "shutdown complete" "$workdir/iorouter.log"; then
   echo "fleet-smoke: no clean-shutdown marker in the router log" >&2
   cat "$workdir/iorouter.log" >&2

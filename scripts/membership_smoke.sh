@@ -13,6 +13,8 @@
 # Knobs (env): REQUESTS, CONCURRENCY, ROUTER_ADDR, REPLICA_BASE_PORT.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE=membership-smoke
+source scripts/lib.sh
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:18170}"
 BASE_PORT="${REPLICA_BASE_PORT:-18181}"
@@ -24,36 +26,7 @@ R1="127.0.0.1:$BASE_PORT"
 R2="127.0.0.1:$((BASE_PORT + 1))"
 R3="127.0.0.1:$((BASE_PORT + 2))"
 
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    { kill -9 "$pid" && wait "$pid"; } 2>/dev/null || true
-  done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-echo "membership-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/iorouter" ./cmd/iorouter
-go build -o "$workdir/ioload" ./cmd/ioload
-
-wait_healthz() { # addr name log
-  for i in $(seq 1 120); do
-    if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "membership-smoke: $2 never became healthy" >&2
-  cat "$3" >&2
-  exit 1
-}
-
-fleet_view() {
-  curl -fsS -H "X-Admin-Token: $ADMIN_TOKEN" "http://$ROUTER_ADDR/v1/fleet" 2>/dev/null || true
-}
+build ioserve iorouter ioload
 
 # The router's /healthz is a readiness probe: 503 while the ring is empty.
 # A zero-replica boot is exactly that state, so router liveness is checked
@@ -70,19 +43,6 @@ wait_router_up() { # name log
   exit 1
 }
 
-wait_fleet_healthy() { # want
-  for i in $(seq 1 60); do
-    if fleet_view | grep -q "\"healthy\":$1"; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "membership-smoke: fleet never reached $1 healthy replicas" >&2
-  fleet_view >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
-
 wait_member_gone() { # name
   for i in $(seq 1 60); do
     if ! fleet_view | grep -q "\"name\":\"$1\""; then
@@ -95,16 +55,8 @@ wait_member_gone() { # name
   exit 1
 }
 
-assert_zero_errors() { # report
-  if ! grep -Eq "^requests +[0-9]+ \(0 errors\)$" "$1"; then
-    echo "membership-smoke: load run reported request errors" >&2
-    cat "$1" >&2
-    exit 1
-  fi
-}
-
 start_router() { # logfile
-  "$workdir/iorouter" \
+  start "$1" "$workdir/iorouter" \
     -addr "$ROUTER_ADDR" \
     -fleet-state "$workdir/membership.json" \
     -lease-ttl 2s \
@@ -112,15 +64,13 @@ start_router() { # logfile
     -breaker-threshold 2 \
     -breaker-cooldown 2s \
     -admin-token "$ADMIN_TOKEN" \
-    -shutdown-grace 10s \
-    >"$1" 2>&1 &
-  pids+=($!)
+    -shutdown-grace 10s
 }
 
 start_replica() { # addr logfile extra-args...
   local addr="$1" logfile="$2"
   shift 2
-  "$workdir/ioserve" \
+  start "$logfile" "$workdir/ioserve" \
     -addr "$addr" \
     -models "$workdir/registry" \
     -reload-interval 1s \
@@ -128,9 +78,7 @@ start_replica() { # addr logfile extra-args...
     -admin-token "$ADMIN_TOKEN" \
     -heartbeat-interval 500ms \
     -shutdown-grace 10s \
-    "$@" \
-    >"$logfile" 2>&1 &
-  pids+=($!)
+    "$@"
 }
 
 echo "membership-smoke: booting iorouter with ZERO replicas"
@@ -144,16 +92,7 @@ if ! fleet_view | grep -q '"healthy":0'; then
 fi
 
 echo "membership-smoke: replica 1 ($R1) bootstraps the registry and self-registers"
-"$workdir/ioserve" \
-  -addr "$R1" \
-  -bootstrap -models "$workdir/registry" -jobs 600 -versions 1 \
-  -reload-interval 1s \
-  -router "http://$ROUTER_ADDR" \
-  -admin-token "$ADMIN_TOKEN" \
-  -heartbeat-interval 500ms \
-  -shutdown-grace 10s \
-  >"$workdir/replica1.log" 2>&1 &
-pids+=($!)
+start_replica "$R1" "$workdir/replica1.log" -bootstrap -jobs 600 -versions 1
 replica1_pid="${pids[-1]}"
 wait_healthz "$R1" "replica 1" "$workdir/replica1.log"
 
@@ -244,12 +183,7 @@ if ! grep -q 'iorouter_membership_events_total{event="deregister"} 1' <<<"$metri
 fi
 
 echo "membership-smoke: restarting the router — snapshot must rebuild the survivor"
-kill -TERM "$router_pid"
-for i in $(seq 1 20); do
-  kill -0 "$router_pid" 2>/dev/null || break
-  sleep 1
-done
-wait "$router_pid" 2>/dev/null || true
+stop "$router_pid" || true
 if ! grep -q "shutdown complete" "$workdir/iorouter.log"; then
   echo "membership-smoke: router did not shut down cleanly" >&2
   cat "$workdir/iorouter.log" >&2
@@ -290,12 +224,7 @@ if ! grep -q "fleet drain confirmed" "$workdir/replica1.log"; then
   exit 1
 fi
 wait_fleet_healthy 0
-kill -TERM "$router_pid"
-for i in $(seq 1 20); do
-  kill -0 "$router_pid" 2>/dev/null || break
-  sleep 1
-done
-wait "$router_pid" 2>/dev/null || true
+stop "$router_pid" || true
 if ! grep -q "shutdown complete" "$workdir/iorouter2.log"; then
   echo "membership-smoke: restarted router did not exit cleanly" >&2
   cat "$workdir/iorouter2.log" >&2

@@ -9,6 +9,8 @@
 # Knobs (env): REQUESTS, CONCURRENCY, ROUTER_ADDR, REPLICA_PORT, SLO_SPEC.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE=slo-smoke
+source scripts/lib.sh
 
 ROUTER_ADDR="${ROUTER_ADDR:-127.0.0.1:18090}"
 REPLICA="127.0.0.1:${REPLICA_PORT:-18091}"
@@ -18,69 +20,27 @@ CONCURRENCY="${CONCURRENCY:-4}"
 # enough that the chaos phase's injected 500ms latency always does.
 SLO_SPEC="${SLO_SPEC:-predict:p99=150ms,avail=99}"
 
-workdir="$(mktemp -d)"
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do
-    { kill -9 "$pid" && wait "$pid"; } 2>/dev/null || true
-  done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-echo "slo-smoke: building binaries"
-go build -o "$workdir/ioserve" ./cmd/ioserve
-go build -o "$workdir/iorouter" ./cmd/iorouter
-go build -o "$workdir/ioload" ./cmd/ioload
-
-wait_healthz() { # addr name log
-  for i in $(seq 1 120); do
-    if curl -fsS "http://$1/healthz" >/dev/null 2>&1; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "slo-smoke: $2 never became healthy" >&2
-  cat "$3" >&2
-  exit 1
-}
-
-wait_fleet_healthy() { # want
-  for i in $(seq 1 60); do
-    if curl -fsS "http://$ROUTER_ADDR/v1/fleet" 2>/dev/null | grep -q "\"healthy\":$1"; then
-      return 0
-    fi
-    sleep 1
-  done
-  echo "slo-smoke: fleet never reached $1 healthy replicas" >&2
-  curl -fsS "http://$ROUTER_ADDR/v1/fleet" >&2 || true
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
+build ioserve iorouter ioload
 
 echo "slo-smoke: bootstrapping replica $REPLICA with tracing on"
-"$workdir/ioserve" \
+start "$workdir/replica.log" "$workdir/ioserve" \
   -addr "$REPLICA" \
   -bootstrap -models "$workdir/registry" -jobs 600 -versions 1 \
   -trace-sample 1 \
   -reload-interval 1s \
-  -shutdown-grace 10s \
-  >"$workdir/replica.log" 2>&1 &
-pids+=($!)
+  -shutdown-grace 10s
 replica_pid="${pids[-1]}"
 wait_healthz "$REPLICA" "replica" "$workdir/replica.log"
 
 echo "slo-smoke: starting iorouter on $ROUTER_ADDR with -slo '$SLO_SPEC'"
-"$workdir/iorouter" \
+start "$workdir/iorouter.log" "$workdir/iorouter" \
   -addr "$ROUTER_ADDR" \
   -replicas "http://$REPLICA" \
   -health-interval 250ms \
   -slo "$SLO_SPEC" \
   -trace-sample 1 \
-  -shutdown-grace 10s \
-  >"$workdir/iorouter.log" 2>&1 &
-router_pid=$!
-pids+=("$router_pid")
+  -shutdown-grace 10s
+router_pid="${pids[-1]}"
 wait_healthz "$ROUTER_ADDR" "iorouter" "$workdir/iorouter.log"
 wait_fleet_healthy 1
 
@@ -122,14 +82,12 @@ fi
 echo "slo-smoke: swapping in a replica with 500ms injected latency"
 { kill -9 "$replica_pid" && wait "$replica_pid"; } 2>/dev/null || true
 wait_fleet_healthy 0
-"$workdir/ioserve" \
+start "$workdir/replica-chaos.log" "$workdir/ioserve" \
   -addr "$REPLICA" \
   -models "$workdir/registry" \
   -chaos 'latency=500ms:1' \
   -reload-interval 1s \
-  -shutdown-grace 10s \
-  >"$workdir/replica-chaos.log" 2>&1 &
-pids+=($!)
+  -shutdown-grace 10s
 wait_healthz "$REPLICA" "chaotic replica" "$workdir/replica-chaos.log"
 wait_fleet_healthy 1
 
@@ -145,24 +103,6 @@ echo "slo-smoke: phase 2 — slow requests must burn the error budget"
   | tee "$workdir/phase2.txt"
 
 echo "slo-smoke: asking the router for graceful shutdown"
-kill -TERM "$router_pid"
-shutdown_ok=1
-for i in $(seq 1 20); do
-  if ! kill -0 "$router_pid" 2>/dev/null; then
-    shutdown_ok=0
-    break
-  fi
-  sleep 1
-done
-if [ "$shutdown_ok" -ne 0 ]; then
-  echo "slo-smoke: iorouter did not exit within 20s of SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-fi
-wait "$router_pid" || {
-  echo "slo-smoke: iorouter exited non-zero after SIGTERM" >&2
-  cat "$workdir/iorouter.log" >&2
-  exit 1
-}
+stop_clean "$router_pid" "iorouter" "$workdir/iorouter.log"
 
 echo "slo-smoke: OK (objectives met, stitched trace, budget burn detected, clean drain)"
