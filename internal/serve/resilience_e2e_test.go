@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -33,34 +34,72 @@ func TestOverloadShedsAndBoundsTail(t *testing.T) {
 	t.Cleanup(ts.Close)
 	frame, _, _ := fixture(t)
 
+	// drain reads a response body to EOF and closes it. The transport only
+	// reuses a connection whose body was fully read, so an undrained 429
+	// would make its client redial for the next request.
+	drain := func(resp *http.Response) error {
+		_, err := io.Copy(io.Discard, resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+
 	// run issues total requests from conc workers, returning the status
-	// counts and the sorted latencies of the 200s.
+	// counts and the sorted latencies of the 200s. Each worker encodes its
+	// bodies and opens its one keep-alive connection before the timed
+	// phase starts: the gate sees a request only once it is accepted and
+	// parsed, so TCP connects, the serial httptest accept loop and the
+	// client's own encoding are outside what it can bound, and on shared
+	// cores they must not compete with the admitted work being measured.
 	run := func(conc, total int) (map[int]int, []time.Duration) {
 		t.Helper()
 		var mu sync.Mutex
 		statuses := make(map[int]int)
 		var lats []time.Duration
-		var wg sync.WaitGroup
+		var wg, connected sync.WaitGroup
+		begin := make(chan struct{})
 		per := total / conc
 		for w := 0; w < conc; w++ {
 			wg.Add(1)
+			connected.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				client := &http.Client{Timeout: 10 * time.Second}
-				for i := 0; i < per; i++ {
-					raw, err := json.Marshal(PredictRequest{System: "theta", Rows: [][]float64{frame.Row((w*per + i) % frame.Len())}})
-					if err != nil {
-						t.Error(err)
-						return
+				tr := &http.Transport{}
+				defer tr.CloseIdleConnections()
+				client := &http.Client{Transport: tr, Timeout: 10 * time.Second}
+				bodies := make([][]byte, per)
+				var err error
+				for i := range bodies {
+					if bodies[i], err = json.Marshal(PredictRequest{System: "theta", Rows: [][]float64{frame.Row((w*per + i) % frame.Len())}}); err != nil {
+						break
 					}
+				}
+				if err == nil {
+					var resp *http.Response
+					if resp, err = client.Get(ts.URL + "/healthz"); err == nil {
+						err = drain(resp)
+					}
+				}
+				connected.Done()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				<-begin
+				for _, raw := range bodies {
 					start := time.Now()
 					resp, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(raw))
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					resp.Body.Close()
+					err = drain(resp)
 					took := time.Since(start)
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					mu.Lock()
 					statuses[resp.StatusCode]++
 					if resp.StatusCode == http.StatusOK {
@@ -70,6 +109,8 @@ func TestOverloadShedsAndBoundsTail(t *testing.T) {
 				}
 			}(w)
 		}
+		connected.Wait()
+		close(begin)
 		wg.Wait()
 		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 		return statuses, lats
