@@ -25,14 +25,16 @@ bench:
 	./scripts/bench.sh
 
 # Cheap benchmarks as a CI smoke signal: two fast figure benchmarks prove
-# the harness and the JSON recorder still work, and the serving trio runs
-# with -benchmem so benchcmp can gate the hot path's ns/op and allocs/op
+# the harness and the JSON recorder still work, and the serving trio, the
+# wire codec layers and the replica and routed HTTP paths run with
+# -benchmem so benchcmp can gate the hot path's ns/op and allocs/op
 # against the committed snapshot.
 bench-smoke:
-	BENCH_PATTERN='^(BenchmarkFig1b|BenchmarkTableT1|BenchmarkServeDupHeavyCacheOn|BenchmarkServeDupHeavyCacheOff|BenchmarkServeBatch16)$$' ./scripts/bench.sh
+	BENCH_PATTERN='^(BenchmarkFig1b|BenchmarkTableT1|BenchmarkServeDupHeavyCacheOn|BenchmarkServeDupHeavyCacheOff|BenchmarkServeBatch16|BenchmarkWireDecode16|BenchmarkWireEncode16|BenchmarkServeHTTP16|BenchmarkRouteHTTP16)$$' ./scripts/bench.sh
 
 # Diff the two newest BENCH_*.json snapshots; fails on >10% regression in
-# the serving/predict benchmarks (see scripts/benchcmp.sh for knobs).
+# the serving/predict, wire and routed benchmarks, or on any change of the
+# paper invariants (see scripts/benchcmp.sh for knobs).
 benchcmp:
 	./scripts/benchcmp.sh
 

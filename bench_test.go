@@ -12,14 +12,18 @@ package iotaxo
 // are asserted in the package tests and recorded in EXPERIMENTS.md.
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"iotaxo/internal/core"
 	"iotaxo/internal/experiments"
+	"iotaxo/internal/fleet"
 	"iotaxo/internal/gbt"
 	"iotaxo/internal/serve"
 )
@@ -411,6 +415,126 @@ func BenchmarkServeBatch64(b *testing.B) { benchServe(b, 0, 64, 0, 0) }
 // benchcmp's regression gate never keys on it; compare against
 // ServeBatch16 by eye to see what a retained trace costs.
 func BenchmarkServeBatch16Traced(b *testing.B) { benchServe(b, 0, 16, 0, 1) }
+
+// Wire-path benchmarks: layers and whole paths over one shared 16-row
+// request (the first 16 rows of the serving pool), each row a miss, so
+// ServeHTTP16 minus ServeBatch16 is what HTTP and the wire codec add to
+// the in-process path, and RouteHTTP16 adds the router hop on top.
+
+// wireFixture returns the 16-row request body and a service-built
+// response to it.
+func wireFixture(b *testing.B) ([]byte, *serve.PredictResponse) {
+	mv, pool := serveFixture(b)
+	req := &serve.PredictRequest{System: "theta", Rows: pool[:16]}
+	body, err := serve.AppendPredictRequest(nil, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := newWireService(b, mv)
+	resp, _, err := svc.ServeRequest(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body, resp
+}
+
+// newWireService is benchServe's uncached service.
+func newWireService(b *testing.B, mv *serve.ModelVersion) *serve.Service {
+	reg := serve.NewRegistry()
+	if err := reg.Add(mv); err != nil {
+		b.Fatal(err)
+	}
+	svc := serve.NewService(reg, serve.Options{MaxBatch: 64, MaxDelay: 200 * time.Microsecond})
+	b.Cleanup(svc.Close)
+	return svc
+}
+
+// BenchmarkWireDecode16 is the request decode layer alone.
+func BenchmarkWireDecode16(b *testing.B) {
+	body, _ := wireFixture(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.DecodePredictRequest(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireEncode16 is the response encode layer alone.
+func BenchmarkWireEncode16(b *testing.B) {
+	_, resp := wireFixture(b)
+	buf, err := serve.AppendPredictResponse(nil, resp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = serve.AppendPredictResponse(buf[:0], resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPost drives POST /v1/predict on url with the fixture body over one
+// keep-alive connection, opened (and the path warmed) before the timer.
+func benchPost(b *testing.B, url string, body []byte) {
+	client := &http.Client{}
+	post := func() {
+		resp, err := client.Post(url+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, err %v", resp.StatusCode, err)
+		}
+	}
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(16*b.N), "ns/row")
+}
+
+// BenchmarkServeHTTP16 is one ioserve replica over HTTP: decode, predict,
+// encode, and the loopback round trip (client and server allocations both
+// count).
+func BenchmarkServeHTTP16(b *testing.B) {
+	body, _ := wireFixture(b)
+	mv, _ := serveFixture(b)
+	ts := httptest.NewServer(serve.Handler(newWireService(b, mv)))
+	defer ts.Close()
+	benchPost(b, ts.URL, body)
+}
+
+// BenchmarkRouteHTTP16 is a routed request: the fleet router's HTTP
+// surface over two replicas, each reached over HTTP by its Remote backend.
+func BenchmarkRouteHTTP16(b *testing.B) {
+	body, _ := wireFixture(b)
+	mv, _ := serveFixture(b)
+	var backends []fleet.Predictor
+	for _, name := range []string{"a", "b"} {
+		ts := httptest.NewServer(serve.Handler(newWireService(b, mv)))
+		defer ts.Close()
+		backends = append(backends, fleet.NewRemote(name, ts.URL, fleet.RemoteConfig{}))
+	}
+	rt, err := fleet.NewRouter(fleet.RouterConfig{}, backends...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Stop()
+	ts := httptest.NewServer(fleet.Handler(rt))
+	defer ts.Close()
+	benchPost(b, ts.URL, body)
+}
 
 func BenchmarkTableT3(b *testing.B) {
 	theta, cori := benchFrames(b)

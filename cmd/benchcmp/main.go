@@ -18,6 +18,12 @@
 // snapshot or lacking allocs/op is reported and skipped, consistent with
 // the no-fail-on-missing-data policy below.
 //
+// The paper's headline numbers are invariants, not benchmarks: Fig1a's
+// best_err_% and default_err_%, Fig3's posix_test_err_% and ModelZoo's
+// floor_% must be exactly equal in both snapshots whenever both record
+// them, whatever -pattern selects. A fast path that moves one of them is a
+// bug, however much time it saves.
+//
 // Benchmarks present in only one snapshot are reported and skipped, as is
 // the allocs/op comparison when either side predates -benchmem recording;
 // if the snapshots share no benchmark matching the pattern the comparison
@@ -44,10 +50,43 @@ import (
 type report struct {
 	Date       string `json:"date"`
 	Benchmarks map[string]struct {
-		Iterations  int64    `json:"iterations"`
-		NsPerOp     float64  `json:"ns_per_op"`
-		AllocsPerOp *float64 `json:"allocs_per_op"`
+		Iterations  int64              `json:"iterations"`
+		NsPerOp     float64            `json:"ns_per_op"`
+		AllocsPerOp *float64           `json:"allocs_per_op"`
+		Metrics     map[string]float64 `json:"metrics"`
 	} `json:"benchmarks"`
+}
+
+// invariants names the paper-figure metrics that must not move between
+// snapshots, per benchmark.
+var invariants = []struct{ bench, metric string }{
+	{"Fig1a", "best_err_%"},
+	{"Fig1a", "default_err_%"},
+	{"Fig3", "posix_test_err_%"},
+	{"ModelZoo", "floor_%"},
+}
+
+// checkInvariants compares the paper invariants across the snapshots and
+// returns the number of mismatches. A side that does not record one is
+// reported and skipped.
+func checkInvariants(oldRep, newRep report) int {
+	mismatches := 0
+	for _, inv := range invariants {
+		label := inv.bench + " " + inv.metric
+		ov, okOld := oldRep.Benchmarks[inv.bench].Metrics[inv.metric]
+		nv, okNew := newRep.Benchmarks[inv.bench].Metrics[inv.metric]
+		if !okOld || !okNew {
+			fmt.Printf("  %-32s not in both snapshots, invariant skipped\n", label)
+			continue
+		}
+		verdict := "ok"
+		if ov != nv {
+			verdict = "INVARIANT CHANGED"
+			mismatches++
+		}
+		fmt.Printf("  %-32s %14g -> %14g            %s\n", label, ov, nv, verdict)
+	}
+	return mismatches
 }
 
 func main() {
@@ -215,13 +254,14 @@ func run(oldPath, newPath, pattern string, threshold, allocThreshold float64, ce
 		}
 	}
 	breaches := checkCeilings(newRep, ceilings)
-	if compared == 0 && breaches == 0 {
+	changed := checkInvariants(oldRep, newRep)
+	if compared == 0 && breaches == 0 && changed == 0 {
 		fmt.Println("  no common benchmarks match the pattern; nothing to compare")
 		return nil
 	}
-	if regressions > 0 || breaches > 0 {
-		return fmt.Errorf("%d regression(s) beyond threshold and %d absolute alloc budget breach(es) across %d compared benchmarks",
-			regressions, breaches, compared)
+	if regressions > 0 || breaches > 0 || changed > 0 {
+		return fmt.Errorf("%d regression(s) beyond threshold, %d absolute alloc budget breach(es) across %d compared benchmarks, and %d changed paper invariant(s)",
+			regressions, breaches, compared, changed)
 	}
 	fmt.Printf("  %d benchmarks within threshold\n", compared)
 	return nil

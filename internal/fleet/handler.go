@@ -59,10 +59,10 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	mux.Handle("/v1/predict", obs.SLOMiddleware(cfg.SLO, func(r *http.Request) string { return "predict" }, predict))
 	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, rt.View())
+		serve.WriteJSON(w, http.StatusOK, rt.View())
 	})
 	// The registration plane. Admin-gated: membership changes are control
 	// actions, and the agent sends the same token it uses for its own
@@ -77,7 +77,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 			writeMembershipError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	}))
 	mux.HandleFunc("/v1/fleet/heartbeat", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
@@ -89,7 +89,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 			writeMembershipError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	}))
 	mux.HandleFunc("/v1/fleet/deregister", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		var req DeregisterRequest
@@ -101,7 +101,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 			writeMembershipError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	}))
 	mux.HandleFunc("/v1/trace", serve.RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		handleFleetTraceList(rt, w, r)
@@ -111,7 +111,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/v1/slo", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.SLO == nil {
-			writeError(w, http.StatusConflict, "SLO tracking disabled (start iorouter with -slo)")
+			serve.WriteError(w, http.StatusConflict, "SLO tracking disabled (start iorouter with -slo)")
 			return
 		}
 		cfg.SLO.Handler().ServeHTTP(w, r)
@@ -123,7 +123,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 		if view.Healthy == 0 {
 			status, state = http.StatusServiceUnavailable, "no healthy replicas"
 		}
-		writeJSON(w, status, map[string]any{
+		serve.WriteJSON(w, status, map[string]any{
 			"status":   state,
 			"healthy":  view.Healthy,
 			"replicas": len(view.Replicas),
@@ -165,18 +165,18 @@ type FleetTraceSummary struct {
 // newest first, capped by ?limit=.
 func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if rt.tracer == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
+		serve.WriteError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
 		return
 	}
 	limit := 0
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")
+			serve.WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
 			return
 		}
 		limit = n
@@ -195,7 +195,7 @@ func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 			Error:   t.Err,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"slow_threshold_ns": int64(math.Round(rt.tracer.SlowSeconds() * 1e9)),
 		"traces":            summaries,
 	})
@@ -207,37 +207,35 @@ func handleFleetTraceList(rt *Router, w http.ResponseWriter, r *http.Request) {
 // marker instead of failing the stitch.
 func handleFleetTraceGet(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if rt.tracer == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
+		serve.WriteError(w, http.StatusConflict, "tracing disabled (start iorouter with -trace-sample)")
 		return
 	}
 	idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	id, err := obs.ParseTraceID(idHex)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
 		return
 	}
 	st, ok := rt.StitchTrace(r.Context(), id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
+		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req serve.PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	req, err := serve.ReadPredictRequest(http.MaxBytesReader(w, r.Body, maxRouterBody), r.ContentLength)
+	if err != nil {
+		serve.WriteError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
 	// The client's deadline bounds the whole fan-out; Remote backends
@@ -247,7 +245,7 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(serve.DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", serve.DeadlineHeader))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", serve.DeadlineHeader))
 			return
 		}
 		var cancel context.CancelFunc
@@ -263,13 +261,61 @@ func handleRoute(rt *Router, w http.ResponseWriter, r *http.Request) {
 		if be.RetryAfter != "" {
 			w.Header().Set("Retry-After", be.RetryAfter)
 		}
-		writeError(w, be.Status, be.Msg)
+		serve.WriteError(w, be.Status, be.Msg)
 		return
 	}
 	if resp.TraceID != "" {
 		w.Header().Set(serve.TraceHeader, resp.TraceID)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := serve.GetBuffer()
+	defer serve.PutBuffer(bp)
+	if *bp, err = appendResponse(*bp, resp); err != nil {
+		serve.WriteError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
+	serve.WriteBody(w, http.StatusOK, *bp)
+}
+
+// appendResponse appends a routed reply as json.NewEncoder(w).Encode
+// writes it: the embedded replica contract, then the router's fields.
+func appendResponse(dst []byte, resp *Response) ([]byte, error) {
+	dst = append(dst, '{')
+	dst, err := serve.AppendPredictResponseFields(dst, &resp.PredictResponse)
+	if err != nil {
+		return dst, err
+	}
+	if len(resp.Replicas) > 0 {
+		dst = append(dst, `,"replicas":[`...)
+		for i, sh := range resp.Replicas {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"replica":`...)
+			dst = serve.AppendString(dst, sh.Replica)
+			dst = append(dst, `,"rows":`...)
+			dst = strconv.AppendInt(dst, int64(sh.Rows), 10)
+			dst = append(dst, `,"version":`...)
+			dst = strconv.AppendInt(dst, int64(sh.Version), 10)
+			for j, id := range sh.TraceIDs {
+				if j == 0 {
+					dst = append(dst, `,"trace_ids":[`...)
+				} else {
+					dst = append(dst, ',')
+				}
+				dst = serve.AppendString(dst, id)
+			}
+			if len(sh.TraceIDs) > 0 {
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if resp.MembershipEpoch != 0 {
+		dst = append(dst, `,"membership_epoch":`...)
+		dst = strconv.AppendUint(dst, resp.MembershipEpoch, 10)
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // maxMembershipBody bounds a registration-plane request body.
@@ -279,13 +325,13 @@ const maxMembershipBody = 1 << 20
 // answering the error itself (false) when the method or body is bad.
 func decodeMembership(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMembershipBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return false
 	}
 	return true
@@ -295,22 +341,12 @@ func decodeMembership(w http.ResponseWriter, r *http.Request, req any) bool {
 // is 404 (the agent's re-register signal), BackendError carries its own.
 func writeMembershipError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrUnknownMember) {
-		writeError(w, http.StatusNotFound, err.Error())
+		serve.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if be, ok := err.(*BackendError); ok {
-		writeError(w, be.Status, be.Msg)
+		serve.WriteError(w, be.Status, be.Msg)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	serve.WriteError(w, http.StatusInternalServerError, err.Error())
 }

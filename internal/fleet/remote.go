@@ -52,7 +52,13 @@ func (r *Remote) Name() string { return r.name }
 
 // Predict implements Predictor over POST /v1/predict.
 func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
-	body, err := json.Marshal(req)
+	// Not pooled: the transport may still read a request body after Do
+	// returns (a retry on a stale keep-alive connection re-reads it).
+	size := 64
+	for _, row := range req.Rows {
+		size += 24*len(row) + 2
+	}
+	body, err := serve.AppendPredictRequest(make([]byte, 0, size+24*len(req.Row)), req)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding request for %s: %w", r.name, err)
 	}
@@ -84,11 +90,11 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 	if resp.StatusCode != http.StatusOK {
 		return nil, backendErrorFrom(resp)
 	}
-	var out serve.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	out, err := serve.ReadPredictResponse(resp.Body, resp.ContentLength)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s sent a bad response body: %w", r.name, err)
 	}
-	return &out, nil
+	return out, nil
 }
 
 // backendErrorFrom converts a non-200 replica response, preserving the
@@ -96,12 +102,8 @@ func (r *Remote) Predict(ctx context.Context, req *serve.PredictRequest) (*serve
 func backendErrorFrom(resp *http.Response) *BackendError {
 	msg := "(no body)"
 	if b, err := io.ReadAll(io.LimitReader(resp.Body, 4<<10)); err == nil && len(b) > 0 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(b, &e) == nil && e.Error != "" {
-			msg = e.Error
-		} else {
+		var ok bool
+		if msg, ok = serve.ErrorMessage(b); !ok {
 			msg = string(b)
 		}
 	}

@@ -12,9 +12,11 @@ import (
 type Stage uint8
 
 const (
+	// StageDecode is reading and parsing the request body (HTTP only).
+	StageDecode Stage = iota
 	// StageCacheLookup is the duplicate-cache scan over the request's rows
 	// (hits answered, in-request duplicates deduplicated).
-	StageCacheLookup Stage = iota
+	StageCacheLookup
 	// StageQueueWait is the time the request's miss wave sat in the
 	// batcher queue before a worker picked it up.
 	StageQueueWait
@@ -34,14 +36,18 @@ const (
 	// StageObserve is the synchronous post-response work: shadow-mirror
 	// enqueue and the drift observer callback.
 	StageObserve
+	// StageEncode is writing the response body (HTTP only). It runs after
+	// the response's own server_timings were fixed, so it reaches the stage
+	// histogram and the trace but not TotalNs.
+	StageEncode
 
 	// NumStages bounds the Stage values (array sizes, iteration).
 	NumStages
 )
 
 var stageNames = [NumStages]string{
-	"cache_lookup", "queue_wait", "wave_assemble", "evaluate", "guard",
-	"finalize", "observe",
+	"decode", "cache_lookup", "queue_wait", "wave_assemble", "evaluate",
+	"guard", "finalize", "observe", "encode",
 }
 
 // String returns the stage's exposition label (the {stage="..."} value).
@@ -199,7 +205,9 @@ func (t *Trace) Detail() TraceDetail {
 // SpanTree assembles the request's spans: a "request" root whose children
 // are the pipeline stages in flow order, with guard nested under evaluate
 // (it is a slice of the evaluation, not a sibling phase). Stages that did
-// not run (e.g. queue wait on a fully cached request) are elided.
+// not run (e.g. queue wait on a fully cached request, or decode and encode
+// on an in-process call) are elided. The encode span follows the root's
+// duration: the response it times carries that duration.
 func (t *Trace) SpanTree() SpanNode {
 	root := SpanNode{Name: "request", DurationNs: t.Timings.TotalNs}
 	ran := func(s Stage) bool {
@@ -212,7 +220,7 @@ func (t *Trace) SpanTree() SpanNode {
 			return t.Timings.Ns[s] > 0 || s == StageCacheLookup
 		}
 	}
-	for _, s := range []Stage{StageCacheLookup, StageQueueWait, StageWaveAssemble, StageEvaluate, StageFinalize, StageObserve} {
+	for _, s := range []Stage{StageDecode, StageCacheLookup, StageQueueWait, StageWaveAssemble, StageEvaluate, StageFinalize, StageObserve, StageEncode} {
 		if !ran(s) {
 			continue
 		}

@@ -26,6 +26,7 @@ func TestStageString(t *testing.T) {
 		StageCacheLookup: "cache_lookup", StageQueueWait: "queue_wait",
 		StageWaveAssemble: "wave_assemble", StageEvaluate: "evaluate",
 		StageGuard: "guard", StageFinalize: "finalize", StageObserve: "observe",
+		StageDecode: "decode", StageEncode: "encode",
 	}
 	for st, name := range want {
 		if st.String() != name {

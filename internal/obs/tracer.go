@@ -159,6 +159,18 @@ func (tr *Tracer) Start(system string, version int, start time.Time) *Trace {
 // are copied into the ring and their ID returned; everything else is
 // dropped (returns 0). t must not be touched after Finish.
 func (tr *Tracer) Finish(t *Trace) uint64 {
+	id := tr.Decide(t)
+	if id != 0 {
+		tr.Commit(t)
+	}
+	return id
+}
+
+// Decide applies the tail-sampling policy to a finished request. A dropped
+// trace is recycled and 0 returned; a retained one returns its ID and
+// stays the caller's until Commit, so a stage that runs after the decision
+// (the response encode, which carries the ID) can still be recorded on it.
+func (tr *Tracer) Decide(t *Trace) uint64 {
 	if tr == nil || t == nil {
 		return 0
 	}
@@ -180,10 +192,14 @@ func (tr *Tracer) Finish(t *Trace) uint64 {
 		tr.pool.Put(t)
 		return 0
 	}
-	id := t.ID
+	return t.ID
+}
+
+// Commit copies a trace Decide retained into the ring and recycles it. t
+// must not be touched after Commit.
+func (tr *Tracer) Commit(t *Trace) {
 	tr.ring.Push(t)
 	tr.pool.Put(t)
-	return id
 }
 
 // Recent returns up to limit retained traces, newest first.

@@ -166,3 +166,28 @@ func TestRecentNewestFirst(t *testing.T) {
 		t.Fatalf("Recent = %+v, want newest first of %v", recent, ids)
 	}
 }
+
+// TestDecideThenCommit: a retained trace is the caller's between Decide and
+// Commit, so a stage timed after the keep decision still lands on it; a
+// dropped one never reaches the ring.
+func TestDecideThenCommit(t *testing.T) {
+	tr := NewTracer(Config{SampleEvery: 2, RingSize: 8, SlowAfter: time.Hour})
+	dropped := tr.Start("theta", 1, time.Unix(1, 0))
+	if id := tr.Decide(dropped); id != 0 {
+		t.Fatalf("1st of every 2 kept (id %d)", id)
+	}
+	kept := tr.Start("theta", 1, time.Unix(2, 0))
+	id := tr.Decide(kept)
+	if id == 0 {
+		t.Fatal("2nd of every 2 dropped")
+	}
+	if _, ok := tr.Get(id); ok {
+		t.Fatal("trace in the ring before Commit")
+	}
+	kept.Timings.Ns[StageEncode] = 77
+	tr.Commit(kept)
+	got, ok := tr.Get(id)
+	if !ok || got.Timings.Ns[StageEncode] != 77 || got.Keep != KeepSampled {
+		t.Fatalf("committed trace = %+v, %v", got, ok)
+	}
+}

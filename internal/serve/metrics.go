@@ -299,8 +299,14 @@ func (m *Metrics) StageHist(st obs.Stage) *obs.LatencyHist { return &m.stages[st
 // request had cache misses — explicitly including waves whose queue wait
 // rounded to zero because a worker drained them immediately, so the
 // queue-wait histogram reflects every queued wave, not just the delayed
-// ones. guard records only when a guarded bundle actually ran it.
+// ones. guard records only when a guarded bundle actually ran it, and
+// decode and encode only for requests served over HTTP.
 func (m *Metrics) ObserveStages(tm *obs.StageTimings) {
+	for _, st := range [...]obs.Stage{obs.StageDecode, obs.StageEncode} {
+		if tm.Ns[st] > 0 {
+			m.stages[st].Observe(time.Duration(tm.Ns[st]))
+		}
+	}
 	m.stages[obs.StageCacheLookup].Observe(time.Duration(tm.Ns[obs.StageCacheLookup]))
 	m.stages[obs.StageObserve].Observe(time.Duration(tm.Ns[obs.StageObserve]))
 	if tm.CacheMisses > 0 {

@@ -28,7 +28,8 @@
 //
 // server.go exposes the service over HTTP (POST /v1/predict, GET
 // /v1/models, GET /v1/versions plus its promote/rollback/reload admin
-// actions, /healthz, /metrics); loadgen.go generates Poisson traffic with
+// actions, /healthz, /metrics) and wire.go is its predict codec, shared
+// with the fleet router; loadgen.go generates Poisson traffic with
 // duplicate- and OoD-rate knobs; bootstrap.go trains and exports demo
 // registries so `ioserve -bootstrap` starts from nothing.
 package serve
@@ -232,38 +233,73 @@ func (s *Service) Predict(ctx context.Context, system string, version int, rows 
 // to ship server-side timings and X-Trace-Id back to callers; embedders
 // that don't care call Predict.
 func (s *Service) PredictTraced(ctx context.Context, system string, version int, rows [][]float64) ([]PredictionResult, *ModelVersion, obs.StageTimings, uint64, error) {
-	start := time.Now()
+	var rq request
+	results, mv, id, err := s.predictTraced(ctx, system, version, rows, time.Now(), &rq)
+	s.finish(&rq, 0)
+	return results, mv, rq.tm, id, err
+}
+
+// request is one predict call's observability state between the predict
+// and the response write: its stage attribution and the retained trace (if
+// any) still waiting for the encode stage.
+type request struct {
+	// tm lives in the caller's frame: stage attribution costs no
+	// allocation, and the pooled Trace (if any) is only filled from it at
+	// the very end.
+	tm    obs.StageTimings
+	trace *obs.Trace
+	// served marks a successful predict: only those feed the stage
+	// histograms.
+	served bool
+}
+
+// predictTraced runs the predict and decides the trace; start is when the
+// request began (before its body was decoded, over HTTP). The caller
+// completes the request with finish once the response is encoded.
+func (s *Service) predictTraced(ctx context.Context, system string, version int, rows [][]float64, start time.Time, rq *request) ([]PredictionResult, *ModelVersion, uint64, error) {
 	s.metrics.Requests.Add(1)
-	// tm lives on this frame: stage attribution costs no allocation, and
-	// the pooled Trace (if any) is only filled from it at the very end.
-	var tm obs.StageTimings
+	tm := &rq.tm
 	tm.Rows = len(rows)
 	// Per-system series are created inside predict, only after the
 	// registry resolves the system — a flood of bogus system names must
 	// not grow the metrics map (and /metrics cardinality) without bound;
 	// such failures count only toward the unlabeled totals.
-	results, mv, err := s.predict(ctx, system, version, rows, false, &tm)
+	results, mv, err := s.predict(ctx, system, version, rows, false, tm)
 	tm.TotalNs = time.Since(start).Nanoseconds()
 	if err != nil {
 		s.metrics.Errors.Add(1)
 		if mv != nil {
 			s.metrics.System(mv.System).Errors.Add(1)
 		}
-		id := s.finishTrace(ctx, system, mv, start, &tm, err)
-		return nil, nil, tm, id, err
+		return nil, nil, s.decideTrace(ctx, system, mv, start, rq, err), err
 	}
 	s.metrics.LatencyNs.Add(uint64(tm.TotalNs))
 	s.metrics.Latency.Observe(time.Duration(tm.TotalNs))
-	s.metrics.ObserveStages(&tm)
-	id := s.finishTrace(ctx, system, mv, start, &tm, nil)
-	return results, mv, tm, id, nil
+	rq.served = true
+	return results, mv, s.decideTrace(ctx, system, mv, start, rq, nil), nil
 }
 
-// finishTrace runs the request through tail-sampling: no-op (returns 0)
-// when tracing is off, otherwise fills a pooled Trace from tm and lets the
-// tracer decide retention. An upstream trace ID on ctx (a router hop) is
-// recorded as the retained trace's parent.
-func (s *Service) finishTrace(ctx context.Context, system string, mv *ModelVersion, start time.Time, tm *obs.StageTimings, err error) uint64 {
+// finish records a request's stages once its response is encoded
+// (encodeNs 0 for in-process calls): the stage histograms for a served
+// request, and the retained trace, which only now enters the ring.
+func (s *Service) finish(rq *request, encodeNs int64) {
+	rq.tm.Ns[obs.StageEncode] = encodeNs
+	if rq.served {
+		s.metrics.ObserveStages(&rq.tm)
+	}
+	if rq.trace != nil {
+		rq.trace.Timings.Ns[obs.StageEncode] = encodeNs
+		s.tracer.Commit(rq.trace)
+		rq.trace = nil
+	}
+}
+
+// decideTrace runs the request through tail-sampling: no-op (returns 0)
+// when tracing is off, otherwise fills a pooled Trace from the request's
+// timings and lets the tracer decide retention, parking a retained trace
+// on rq for finish. An upstream trace ID on ctx (a router hop) is recorded
+// as the retained trace's parent.
+func (s *Service) decideTrace(ctx context.Context, system string, mv *ModelVersion, start time.Time, rq *request, err error) uint64 {
 	if s.tracer == nil {
 		return 0
 	}
@@ -273,7 +309,7 @@ func (s *Service) finishTrace(ctx context.Context, system string, mv *ModelVersi
 	}
 	t := s.tracer.Start(sys, ver, start)
 	t.Parent = obs.TraceParent(ctx)
-	t.Timings = *tm
+	t.Timings = rq.tm
 	if err != nil {
 		t.Err = err.Error()
 		// Deadline-expired requests get their own keep reason and stay out
@@ -281,7 +317,11 @@ func (s *Service) finishTrace(ctx context.Context, system string, mv *ModelVersi
 		// the pipeline.
 		t.Deadline = errors.Is(err, context.DeadlineExceeded)
 	}
-	return s.tracer.Finish(t)
+	id := s.tracer.Decide(t)
+	if id != 0 {
+		rq.trace = t
+	}
+	return id
 }
 
 // TraceShed records an admission-shed request in the trace ring (keep

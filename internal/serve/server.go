@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -69,9 +70,12 @@ type PredictResponse struct {
 
 // ServerTimings is the server-side stage split shipped in PredictResponse.
 // GuardNs is a slice of EvaluateNs, and stages omit scheduling slack, so
-// the stages sum to less than TotalNs.
+// the stages sum to less than TotalNs. DecodeNs is the request body's read
+// and parse (0 in-process); the response encode cannot time itself into
+// its own body, so it reaches only /metrics and the trace.
 type ServerTimings struct {
 	TotalNs        int64 `json:"total_ns"`
+	DecodeNs       int64 `json:"decode_ns"`
 	CacheLookupNs  int64 `json:"cache_lookup_ns"`
 	QueueWaitNs    int64 `json:"queue_wait_ns"`
 	WaveAssembleNs int64 `json:"wave_assemble_ns"`
@@ -85,6 +89,7 @@ type ServerTimings struct {
 func serverTimings(tm *obs.StageTimings) *ServerTimings {
 	return &ServerTimings{
 		TotalNs:        tm.TotalNs,
+		DecodeNs:       tm.Ns[obs.StageDecode],
 		CacheLookupNs:  tm.Ns[obs.StageCacheLookup],
 		QueueWaitNs:    tm.Ns[obs.StageQueueWait],
 		WaveAssembleNs: tm.Ns[obs.StageWaveAssemble],
@@ -93,11 +98,6 @@ func serverTimings(tm *obs.StageTimings) *ServerTimings {
 		FinalizeNs:     tm.Ns[obs.StageFinalize],
 		ObserveNs:      tm.Ns[obs.StageObserve],
 	}
-}
-
-// errorResponse is the uniform error body.
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 // DeadlineHeader is the request header carrying a per-request deadline in
@@ -149,7 +149,7 @@ func RequireAdmin(token string, next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !AdminAuthorized(r, token) {
 			w.Header().Set("WWW-Authenticate", "Bearer")
-			writeError(w, http.StatusUnauthorized, "admin token required")
+			WriteError(w, http.StatusUnauthorized, "admin token required")
 			return
 		}
 		next(w, r)
@@ -197,6 +197,15 @@ func StatusForError(err error) int {
 // (set on success and error alike — a failed request's trace is exactly
 // the one an operator wants to look up).
 func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest) (*PredictResponse, string, error) {
+	var rq request
+	resp, traceHex, err := s.serveRequest(ctx, req, time.Now(), &rq)
+	s.finish(&rq, 0)
+	return resp, traceHex, err
+}
+
+// serveRequest is ServeRequest for a request that began at start; the
+// caller completes rq with finish.
+func (s *Service) serveRequest(ctx context.Context, req *PredictRequest, start time.Time, rq *request) (*PredictResponse, string, error) {
 	if req.System == "" {
 		return nil, "", errBadRequest("missing \"system\"")
 	}
@@ -210,7 +219,7 @@ func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest) (*Predi
 	if len(rows) == 0 {
 		return nil, "", errBadRequest("no rows to predict")
 	}
-	results, mv, tm, traceID, err := s.PredictTraced(ctx, req.System, req.Version, rows)
+	results, mv, traceID, err := s.predictTraced(ctx, req.System, req.Version, rows, start, rq)
 	traceHex := ""
 	if traceID != 0 {
 		traceHex = obs.FormatTraceID(traceID)
@@ -224,7 +233,7 @@ func (s *Service) ServeRequest(ctx context.Context, req *PredictRequest) (*Predi
 		Count:         len(results),
 		Predictions:   results,
 		TraceID:       traceHex,
-		ServerTimings: serverTimings(&tm),
+		ServerTimings: serverTimings(&rq.tm),
 	}, traceHex, nil
 }
 
@@ -238,22 +247,22 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 		mux.Handle("/v1/resilience", RequireAdmin(cfg.AdminToken, cfg.Resilience.Handler().ServeHTTP))
 	} else {
 		mux.HandleFunc("/v1/resilience", func(w http.ResponseWriter, r *http.Request) {
-			writeError(w, http.StatusConflict, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)")
+			WriteError(w, http.StatusConflict, "resilience layer not configured (start ioserve with -admission-max-inflight or -reload-interval)")
 		})
 	}
 	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"models": svc.Registry().List()})
+		WriteJSON(w, http.StatusOK, map[string]any{"models": svc.Registry().List()})
 	})
 	mux.HandleFunc("/v1/versions", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"systems": systemVersions(svc)})
+		WriteJSON(w, http.StatusOK, map[string]any{"systems": systemVersions(svc)})
 	})
 	mux.HandleFunc("/v1/versions/promote", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		handleVersionAction(svc, w, r, func(req versionActionRequest) (int, error) {
@@ -273,12 +282,12 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 	}))
 	mux.HandleFunc("/v1/versions/reload", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		rel := svc.Reloader()
 		if rel == nil {
-			writeError(w, http.StatusConflict, "no reloader attached (start ioserve with -reload-interval)")
+			WriteError(w, http.StatusConflict, "no reloader attached (start ioserve with -reload-interval)")
 			return
 		}
 		stats, err := rel.Poll()
@@ -295,7 +304,7 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 				status = http.StatusInternalServerError
 			}
 		}
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 	}))
 	mux.HandleFunc("/v1/trace", RequireAdmin(cfg.AdminToken, func(w http.ResponseWriter, r *http.Request) {
 		handleTraceList(svc, w, r)
@@ -304,7 +313,7 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 		handleTraceGet(svc, w, r)
 	}))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"systems":  svc.Registry().Systems(),
 			"versions": svc.Registry().NumVersions(),
@@ -319,7 +328,7 @@ func NewHandler(svc *Service, cfg HandlerConfig) http.Handler {
 
 func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// Admission runs before the body is read: a shed request must cost the
@@ -331,19 +340,20 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 			if id := svc.TraceShed("", string(reason)); id != 0 {
 				w.Header().Set("X-Trace-Id", obs.FormatTraceID(id))
 			}
-			writeError(w, http.StatusTooManyRequests, fmt.Sprintf("overloaded (%s): retry later", reason))
+			WriteError(w, http.StatusTooManyRequests, fmt.Sprintf("overloaded (%s): retry later", reason))
 			return
 		}
 		admitStart := time.Now()
 		defer func() { cfg.Gate.Release(time.Since(admitStart)) }()
 	}
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+	start := time.Now()
+	req, err := ReadPredictRequest(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
+	var rq request
+	rq.tm.Ns[obs.StageDecode] = time.Since(start).Nanoseconds()
 	// Deadline propagation: the tighter of the server default and the
 	// client's header bounds the whole predict call — queue wait included,
 	// so an expired wave is dropped before evaluation, not after.
@@ -352,7 +362,7 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s must be a positive integer of milliseconds", DeadlineHeader))
 			return
 		}
 		if d := time.Duration(ms) * time.Millisecond; deadline == 0 || d < deadline {
@@ -372,42 +382,52 @@ func handlePredict(svc *Service, cfg *HandlerConfig, w http.ResponseWriter, r *h
 			ctx = obs.WithTraceParent(ctx, id)
 		}
 	}
-	resp, traceHex, err := svc.ServeRequest(ctx, &req)
+	resp, traceHex, err := svc.serveRequest(ctx, &req, start, &rq)
 	if traceHex != "" {
 		// Set on success and error alike: a failed request's retained trace
 		// is exactly the one an operator wants to look up.
 		w.Header().Set(TraceHeader, traceHex)
 	}
 	if err != nil {
+		svc.finish(&rq, 0)
 		status := StatusForError(err)
 		if status >= 500 {
 			svc.Logger().Error("predict failed",
 				"system", req.System,
 				"status", status, "trace_id", traceHex, "err", err)
 		}
-		writeError(w, status, err.Error())
+		WriteError(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, *resp)
+	bp := GetBuffer()
+	defer PutBuffer(bp)
+	encodeStart := time.Now()
+	*bp, err = AppendPredictResponse(*bp, resp)
+	svc.finish(&rq, time.Since(encodeStart).Nanoseconds())
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
+	WriteBody(w, http.StatusOK, *bp)
 }
 
 // handleTraceList serves GET /v1/trace: the retained traces, newest first,
 // capped by ?limit=.
 func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tr := svc.Tracer()
 	if tr == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
+		WriteError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
 		return
 	}
 	limit := 0
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, "limit must be a non-negative integer")
 			return
 		}
 		limit = n
@@ -417,8 +437,8 @@ func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 	for i := range traces {
 		summaries[i] = traces[i].Summary()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"slow_threshold_ns": int64(tr.SlowThreshold()),
+	WriteJSON(w, http.StatusOK, map[string]any{
+		"slow_threshold_ns": int64(math.Round(tr.SlowSeconds() * 1e9)),
 		"traces":            summaries,
 	})
 }
@@ -426,26 +446,26 @@ func handleTraceList(svc *Service, w http.ResponseWriter, r *http.Request) {
 // handleTraceGet serves GET /v1/trace/{id}: one trace's span tree.
 func handleTraceGet(svc *Service, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	tr := svc.Tracer()
 	if tr == nil {
-		writeError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
+		WriteError(w, http.StatusConflict, "tracing disabled (start ioserve with -trace-sample)")
 		return
 	}
 	idHex := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	id, err := obs.ParseTraceID(idHex)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", idHex))
 		return
 	}
 	t, ok := tr.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %s not retained (evicted or never kept)", idHex))
 		return
 	}
-	writeJSON(w, http.StatusOK, t.Detail())
+	WriteJSON(w, http.StatusOK, t.Detail())
 }
 
 // SystemVersions is one system's lifecycle view at GET /v1/versions.
@@ -503,18 +523,18 @@ func (e badRequestError) Error() string { return string(e) }
 // with the system's refreshed lifecycle view.
 func handleVersionAction(svc *Service, w http.ResponseWriter, r *http.Request, apply func(versionActionRequest) (int, error)) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req versionActionRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	if req.System == "" {
-		writeError(w, http.StatusBadRequest, "missing \"system\"")
+		WriteError(w, http.StatusBadRequest, "missing \"system\"")
 		return
 	}
 	active, err := apply(req)
@@ -527,25 +547,39 @@ func handleVersionAction(svc *Service, w http.ResponseWriter, r *http.Request, a
 		case errors.As(err, &bad):
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, err.Error())
+		WriteError(w, status, err.Error())
 		return
 	}
 	for _, sv := range systemVersions(svc) {
 		if sv.System == req.System {
-			writeJSON(w, http.StatusOK, sv)
+			WriteJSON(w, http.StatusOK, sv)
 			return
 		}
 	}
 	// Unreachable unless the system vanished between apply and listing.
-	writeJSON(w, http.StatusOK, map[string]any{"system": req.System, "active": active})
+	WriteJSON(w, http.StatusOK, map[string]any{"system": req.System, "active": active})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v encoded by encoding/json: the listing and admin
+// endpoints, off the predict path.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
+// WriteBody answers with a complete JSON body.
+func WriteBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// WriteError answers with the uniform {"error": msg} body, byte for byte
+// what encoding/json writes for it.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	body := make([]byte, 0, len(msg)+16)
+	WriteBody(w, status, append(AppendString(append(body, `{"error":`...), msg), '}', '\n'))
 }

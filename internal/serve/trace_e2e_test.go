@@ -64,6 +64,10 @@ func TestE2ETracedRequest(t *testing.T) {
 	if st.GuardNs > st.EvaluateNs {
 		t.Fatalf("guard %d ns exceeds its parent evaluate %d ns", st.GuardNs, st.EvaluateNs)
 	}
+	// Over HTTP the body decode is a timed stage inside the total.
+	if st.DecodeNs <= 0 || st.DecodeNs+sum > st.TotalNs {
+		t.Fatalf("decode %d ns not inside total %d ns (other stages %d ns)", st.DecodeNs, st.TotalNs, sum)
+	}
 
 	// The retained trace's span tree shows the same request with
 	// queue_wait, evaluate, and guard each separately populated.
@@ -86,6 +90,9 @@ func TestE2ETracedRequest(t *testing.T) {
 	if len(eval.Children) != 1 || eval.Children[0].Name != "guard" || eval.Children[0].DurationNs <= 0 {
 		t.Fatalf("guard not nested under evaluate with a duration: %+v", eval)
 	}
+	if spans["decode"].DurationNs != st.DecodeNs || spans["encode"].DurationNs <= 0 {
+		t.Errorf("decode/encode spans %+v / %+v, want decode %d ns and a timed encode", spans["decode"], spans["encode"], st.DecodeNs)
+	}
 	if detail.Spans.DurationNs != st.TotalNs {
 		t.Errorf("trace total %d != reported server total %d", detail.Spans.DurationNs, st.TotalNs)
 	}
@@ -105,6 +112,11 @@ func TestE2ETracedRequest(t *testing.T) {
 	if !found {
 		t.Fatalf("trace %s not in /v1/trace listing (%d traces)", pr.TraceID, len(listing.Traces))
 	}
+	// The adaptive slow threshold has not armed after one request: the
+	// listing reports 0, as the router's does, not MaxInt64.
+	if listing.SlowThresholdNs != 0 {
+		t.Errorf("slow_threshold_ns = %d before the threshold armed, want 0", listing.SlowThresholdNs)
+	}
 
 	// Stage histograms made it to /metrics with the labeled family, and the
 	// batcher gauges render.
@@ -113,6 +125,8 @@ func TestE2ETracedRequest(t *testing.T) {
 		`ioserve_stage_latency_seconds_bucket{stage="queue_wait",le=`,
 		`ioserve_stage_latency_seconds_count{stage="evaluate"}`,
 		`ioserve_stage_latency_seconds_count{stage="guard"}`,
+		`ioserve_stage_latency_seconds_count{stage="decode"} 1`,
+		`ioserve_stage_latency_seconds_count{stage="encode"} 1`,
 		"ioserve_batch_queue_depth",
 		"ioserve_batch_inflight_waves",
 		"ioserve_traces_kept_total",

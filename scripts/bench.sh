@@ -10,13 +10,14 @@
 #
 # Environment:
 #   BENCH_PATTERN  go test -bench regexp (default: the training-bound
-#                  figure benchmarks plus the serving comparisons)
+#                  figure benchmarks, the serving comparisons, and the
+#                  wire layers and HTTP paths)
 #   BENCH_TIME     go test -benchtime (default 1x)
 #   BENCH_OUT      output file (default BENCH_$(date +%Y%m%d).json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-pattern=${BENCH_PATTERN:-'^(BenchmarkFig1a|BenchmarkFig3|BenchmarkModelZoo|BenchmarkServeDupHeavyCacheOn|BenchmarkServeDupHeavyCacheOff|BenchmarkServeBatch16)$'}
+pattern=${BENCH_PATTERN:-'^(BenchmarkFig1a|BenchmarkFig3|BenchmarkModelZoo|BenchmarkServeDupHeavyCacheOn|BenchmarkServeDupHeavyCacheOff|BenchmarkServeBatch16|BenchmarkWireDecode16|BenchmarkWireEncode16|BenchmarkServeHTTP16|BenchmarkRouteHTTP16)$'}
 benchtime=${BENCH_TIME:-1x}
 out=${BENCH_OUT:-BENCH_$(date +%Y%m%d).json}
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Diffs the two newest BENCH_*.json snapshots (or two explicitly named
-# ones) and fails when a serving/predict benchmark regressed by more than
-# the threshold — the CI tripwire after `make bench`.
+# ones) and fails when a serving/predict, wire or routed benchmark
+# regressed by more than the threshold, or a paper invariant (Fig1a,
+# Fig3, ModelZoo error) changed — the CI tripwire after `make bench`.
 #
 #   ./scripts/benchcmp.sh                       # two newest by mtime
 #   ./scripts/benchcmp.sh OLD.json NEW.json     # explicit pair
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 threshold=${BENCHCMP_THRESHOLD:-10}
 alloc_threshold=${BENCHCMP_ALLOC_THRESHOLD:--1}
-pattern=${BENCHCMP_PATTERN:-'Serve|Predict'}
+pattern=${BENCHCMP_PATTERN:-'Serve|Predict|Route|Wire'}
 max_allocs=${BENCHCMP_MAX_ALLOCS:-}
 
 if [ $# -eq 2 ]; then
