@@ -7,9 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -582,6 +580,7 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		Predictions: make([]serve.PredictionResult, len(rows)),
 		TraceID:     obs.FormatTraceID(fid),
 	}, MembershipEpoch: epoch}
+	shares := make(map[string]*ReplicaShare)
 	for gi, res := range results {
 		if res.err != nil {
 			// One failed owner group fails the request: partial batches are
@@ -605,18 +604,11 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 		if res.version > out.Version {
 			out.Version = res.version
 		}
-		// A replica serves at most a few groups: find its share by scan.
-		si := 0
-		for si < len(out.Replicas) && out.Replicas[si].Replica != res.replica {
-			si++
+		sh, ok := shares[res.replica]
+		if !ok {
+			sh = &ReplicaShare{Replica: res.replica, Version: res.version}
+			shares[res.replica] = sh
 		}
-		if si == len(out.Replicas) {
-			if out.Replicas == nil {
-				out.Replicas = make([]ReplicaShare, 0, len(results))
-			}
-			out.Replicas = append(out.Replicas, ReplicaShare{Replica: res.replica, Version: res.version})
-		}
-		sh := &out.Replicas[si]
 		sh.Rows += len(g.rows)
 		if res.version > sh.Version {
 			sh.Version = res.version
@@ -625,7 +617,10 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 			sh.TraceIDs = append(sh.TraceIDs, res.traceID)
 		}
 	}
-	slices.SortFunc(out.Replicas, func(a, b ReplicaShare) int { return strings.Compare(a.Replica, b.Replica) })
+	for _, sh := range shares {
+		out.Replicas = append(out.Replicas, *sh)
+	}
+	sort.Slice(out.Replicas, func(a, b int) bool { return out.Replicas[a].Replica < out.Replicas[b].Replica })
 	if ft != nil {
 		ft.StageNs[obs.RouterStageReassemble] = time.Since(reassembleStart).Nanoseconds()
 	}
@@ -638,48 +633,29 @@ func (rt *Router) Route(ctx context.Context, req *serve.PredictRequest) (*Respon
 // version 0 so a row keeps its owner across model version bumps — cache
 // keys are versioned, but arc residency shouldn't churn on every publish.
 func (rt *Router) groupByOwner(system string, rows [][]float64) ([]ownerGroup, uint64, error) {
-	// Hash outside the membership lock: it is most of the work and reads
-	// nothing the lock guards. Each row's slot then holds its group.
-	slot := make([]uint64, len(rows))
-	for i, row := range rows {
-		slot[i] = serve.HashKey(system, 0, row)
-	}
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	epoch := rt.epoch.Load()
 	if rt.ring.Size() == 0 {
-		rt.mu.Unlock()
 		rt.metrics.errors.Add(1)
 		return nil, epoch, &BackendError{Status: http.StatusServiceUnavailable, Msg: "no healthy replicas"}
 	}
-	groups := make([]ownerGroup, 0, rt.ring.Size())
-	counts := make([]int, rt.ring.Size())
-	for i, key := range slot {
-		owner := rt.ring.Owner(key)
-		g := 0
-		for g < len(groups) && groups[g].owner != owner {
-			g++
-		}
-		if g == len(groups) {
-			groups = append(groups, ownerGroup{owner: owner})
-		}
-		counts[g]++
-		slot[i] = uint64(g)
-	}
-	rt.mu.Unlock()
-	// Every group's indices and rows are consecutive segments of one
-	// block each, filled in row order.
-	indices := make([]int, len(rows))
-	sub := make([][]float64, len(rows))
-	off := 0
-	for g := range groups {
-		groups[g].indices = indices[off : off : off+counts[g]]
-		groups[g].rows = sub[off : off : off+counts[g]]
-		off += counts[g]
-	}
+	byOwner := make(map[string]*ownerGroup)
+	var groups []ownerGroup
+	order := make([]string, 0, 4)
 	for i, row := range rows {
-		g := &groups[slot[i]]
+		owner := rt.ring.Owner(serve.HashKey(system, 0, row))
+		g, ok := byOwner[owner]
+		if !ok {
+			byOwner[owner] = &ownerGroup{owner: owner}
+			g = byOwner[owner]
+			order = append(order, owner)
+		}
 		g.indices = append(g.indices, i)
 		g.rows = append(g.rows, row)
+	}
+	for _, owner := range order {
+		groups = append(groups, *byOwner[owner])
 	}
 	return groups, epoch, nil
 }
@@ -805,8 +781,8 @@ func (rt *Router) pick(owner string, tried map[string]bool) (string, *replicaSta
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	cands := make([]candidate, 0, len(rt.names))
-	for _, name := range rt.names {
-		if tried[name] || !rt.ring.Has(name) {
+	for _, name := range rt.ring.Members() {
+		if tried[name] {
 			continue
 		}
 		cands = append(cands, candidate{name: name, load: rt.replicas[name].load()})

@@ -36,9 +36,10 @@ import (
 //     and an error (with nothing to send) for NaN and ±Inf.
 //
 // FuzzDecodePredictRequest and FuzzAppendPredictResponse gate both halves
-// against encoding/json. Decoded rows are views into one flat []float64
-// block per request; the block is never pooled, because the batcher can
-// still hold an abandoned wave's rows after the handler has returned.
+// against encoding/json. Decoded rows are views into a flat []float64
+// block allocated for the request (one block up to maxBlockGuess numbers);
+// blocks are never pooled, because the batcher can still hold an abandoned
+// wave's rows after the handler has returned.
 
 // errUnexpectedEnd reports input that ended inside the first JSON value.
 var errUnexpectedEnd = fmt.Errorf("serve: unexpected end of JSON input: %w", io.ErrUnexpectedEOF)
@@ -202,70 +203,12 @@ func (d *decoder) literal(word string) error {
 	return nil
 }
 
-// floatLit parses a number literal the way encoding/json fills a float64
-// (strconv.ParseFloat), validating JSON's grammar on the way. A literal
-// whose digits form a mantissa below 2^53, with at most 22 fraction digits
-// and no exponent, is converted directly: mantissa and power of ten are
-// then exact float64 values, so one IEEE divide rounds correctly and
-// yields ParseFloat's bits (strconv's exact path, which stops at 2^52).
-// Zeros, counts and decimals up to 15 digits, most of a feature row, take
-// it; the rest go to ParseFloat.
+// floatLit parses a number literal the way encoding/json fills a float64:
+// strconv.ParseFloat on the validated literal.
 func (d *decoder) floatLit() (float64, error) {
-	data, i := d.data, d.off
-	neg := i < len(data) && data[i] == '-'
-	if neg {
-		i++
-	}
-	var mant uint64
-	nd, scale, exact := 0, 0, true
-	if i < len(data) && data[i] == '0' {
-		i++
-	} else {
-		if i >= len(data) || !isDigit(data[i]) {
-			return 0, d.numberError(i)
-		}
-		for ; i < len(data) && isDigit(data[i]); i++ {
-			if nd++; nd > 19 {
-				exact = false
-			} else {
-				mant = mant*10 + uint64(data[i]-'0')
-			}
-		}
-	}
-	if i < len(data) && data[i] == '.' {
-		i++
-		if i >= len(data) || !isDigit(data[i]) {
-			return 0, d.numberError(i)
-		}
-		for ; i < len(data) && isDigit(data[i]); i++ {
-			scale++
-			if c := data[i]; mant != 0 || c != '0' {
-				if nd++; nd > 19 {
-					exact = false
-				} else {
-					mant = mant*10 + uint64(c-'0')
-				}
-			}
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		exact = false
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if i = digits(data, i); i < 0 {
-			return 0, d.numberError(-i - 1)
-		}
-	}
-	lit := data[d.off:i]
-	d.off = i
-	if exact && mant < 1<<53 && scale < len(float64pow10) {
-		f := float64(mant) / float64pow10[scale]
-		if neg {
-			f = -f
-		}
-		return f, nil
+	lit, err := d.number()
+	if err != nil {
+		return 0, err
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
@@ -273,10 +216,6 @@ func (d *decoder) floatLit() (float64, error) {
 	}
 	return f, nil
 }
-
-// float64pow10 holds the powers of ten a float64 represents exactly.
-var float64pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // intLit parses a number literal the way encoding/json fills an int: decimal
 // integers only.
@@ -488,7 +427,7 @@ func (d *decoder) skip(depth int) error {
 }
 
 // DecodePredictRequest parses a POST /v1/predict body under the contract
-// above. Rows are views into one flat block allocated for this request.
+// above. Rows are views into flat blocks allocated for this request.
 func DecodePredictRequest(data []byte) (PredictRequest, error) {
 	var req PredictRequest
 	err := (&decoder{data: data}).request(&req, false)
@@ -503,7 +442,7 @@ func DecodePredictRequest(data []byte) (PredictRequest, error) {
 }
 
 // request decodes the body's first value into req. The fast mode parses
-// every number into one flat block and hands out row views; a repeated
+// every number into flat blocks and hands out row views; a repeated
 // "row" or "rows" key aborts it with errRepeatedSlice, and the exact mode
 // then re-decodes into separately grown slices, because a repeat reuses
 // the earlier slice's backing array exactly as encoding/json's does (a
@@ -556,7 +495,8 @@ func (d *decoder) request(req *PredictRequest, exact bool) error {
 			var rows [][]float64
 			ok, err := d.array(func() error {
 				if rows == nil {
-					rows = make([][]float64, 0, bytes.Count(d.data[d.off:], []byte{'['})+1)
+					rest := d.data[d.off:]
+					rows = make([][]float64, 0, min(bytes.Count(rest, []byte{'['}), maxRowsGuess))
 				}
 				row, err := d.floats(&block)
 				rows = append(rows, row)
@@ -573,11 +513,21 @@ func (d *decoder) request(req *PredictRequest, exact bool) error {
 	return err
 }
 
+// The first row sizes the request's allocations from a count over the rest
+// of the body, which may hold long strings or trailing bytes that are not
+// rows; these caps bound that guess. maxBlockGuess floats (64 KiB) hold a
+// 64-row batch of the ~100 features a Theta row has.
+const (
+	maxBlockGuess = 8192
+	maxRowsGuess  = 256
+)
+
 // floats decodes one number array (or null) onto the end of *block and
-// returns its view. The block is sized once, at the first array, to an
-// upper bound on the numbers left in the document: every element follows a
-// '[' or a ',', and consecutive numbers take at least two bytes. It
-// therefore never grows, and views handed out earlier stay valid.
+// returns its view. The block is sized at the first array to the count of
+// '[' and ',' left in the body (every element follows one), capped by
+// maxBlockGuess and by half the bytes left (consecutive numbers take at
+// least two). A full block is not grown in place: decoding moves on to a
+// fresh one, so views handed out earlier stay valid.
 func (d *decoder) floats(block *[]float64) ([]float64, error) {
 	c, err := d.peek()
 	switch {
@@ -592,7 +542,7 @@ func (d *decoder) floats(block *[]float64) ([]float64, error) {
 	if b == nil {
 		rest := d.data[d.off:]
 		n := bytes.Count(rest, []byte{','}) + bytes.Count(rest, []byte{'['})
-		b = make([]float64, 0, min(n, (len(rest)+1)/2))
+		b = make([]float64, 0, min(n, (len(rest)+1)/2, maxBlockGuess))
 	}
 	start := len(b)
 	d.off++
@@ -617,7 +567,12 @@ func (d *decoder) floats(block *[]float64) ([]float64, error) {
 				return nil, err
 			}
 			if len(b) == cap(b) {
-				return nil, errors.New("serve: float block overflow")
+				// Twice the room, but no more than this number and every
+				// one the bytes left can hold; the row so far moves along.
+				row := b[start:]
+				b = make([]float64, len(row), len(row)+min(2*cap(b), (len(d.data)-d.off)/2+1))
+				copy(b, row)
+				start = 0
 			}
 			b = append(b, f)
 			if c, err = d.delim(',', ']'); err != nil {
@@ -750,12 +705,14 @@ func decodePredictResponse(data []byte) (*PredictResponse, error) {
 }
 
 // predictions decodes the predictions array. count (the reply's "count",
-// which precedes it) sizes the result and one guard block; guards past
-// the block are allocated one by one, so the block never moves.
+// which precedes it) sizes the result and one guard block when the body is
+// long enough to hold that many (AppendPredictResponse writes at least 64
+// bytes a prediction); guards past the block are allocated one by one, so
+// the block never moves.
 func (d *decoder) predictions(dst *[]PredictionResult, count int) error {
 	var preds []PredictionResult
 	var guards []Guard
-	if count > 0 && count <= len(d.data)/16 {
+	if count > 0 && count <= len(d.data)/64 {
 		preds = make([]PredictionResult, 0, count)
 		guards = make([]Guard, 0, count)
 	}
@@ -1125,14 +1082,6 @@ func appendPrediction(dst []byte, p *PredictionResult) ([]byte, error) {
 func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, fmt.Errorf("serve: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
-	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		// An integer below 1e15 (< 2^53) is its own shortest round-trip
-		// form; zeros and counts fill most feature rows.
-		if f == 0 && math.Signbit(f) {
-			return append(dst, '-', '0'), nil
-		}
-		return strconv.AppendInt(dst, int64(f), 10), nil
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

@@ -9,7 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -161,6 +162,66 @@ func TestDecodeRowsShareOneBlock(t *testing.T) {
 	if cap(req.Rows[0]) != 2 {
 		t.Errorf("row view cap %d, want 2", cap(req.Rows[0]))
 	}
+}
+
+// TestDecodeAllocationBounded: bytes that are not numbers (trailing
+// garbage after the first value, a long string of '[' and ',') must not
+// size the decode's allocations, which stay within the string the request
+// keeps plus the capped row and float guesses.
+func TestDecodeAllocationBounded(t *testing.T) {
+	junk := strings.Repeat("[,", 1<<20)
+	const slack = maxBlockGuess*8 + maxRowsGuess*24 + 16<<10
+	for _, c := range []struct {
+		name, body string
+		kept       int
+	}{
+		{"trailing garbage", `{"system":"theta","rows":[[1]]}` + junk, 0},
+		{"long string", `{"rows":[[1]],"system":"` + junk + `"}`, len(junk)},
+	} {
+		data := []byte(c.body)
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			req, err := DecodePredictRequest(data)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(req.Rows) != 1 || req.Rows[0][0] != 1 {
+				t.Fatalf("%s: rows %v, err %v", c.name, req.Rows, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(c.kept + slack); least > limit {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes, want <= %d", c.name, len(data), least, limit)
+		}
+	}
+}
+
+// TestDecodeRowsPastBlockGuess: a request with more numbers than the
+// first block holds continues in fresh blocks, rows split across the
+// boundary included, with every value intact.
+func TestDecodeRowsPastBlockGuess(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]float64, 3*maxBlockGuess/97+1)
+	for i := range rows {
+		rows[i] = make([]float64, 97)
+		for j := range rows[i] {
+			if rows[i][j] = math.Float64frombits(rng.Uint64()); math.IsNaN(rows[i][j]) || math.IsInf(rows[i][j], 0) {
+				rows[i][j] = rng.Float64() * 1e6
+			}
+		}
+	}
+	rows[len(rows)/2][0] = math.Copysign(0, -1)
+	body, err := json.Marshal(PredictRequest{System: "theta", Rows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDecodeMatches(t, body)
+	// Duplicate-heavy bodies also reach the guesses' caps.
+	body, err = json.Marshal(PredictRequest{System: "theta", Rows: slices.Repeat([][]float64{{1, -0.5}}, 3*maxRowsGuess)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDecodeMatches(t, body)
 }
 
 // randomResponse builds a response whose floats come from raw bit
@@ -348,48 +409,8 @@ func TestReadPredictRequestBodyLimit(t *testing.T) {
 	}
 }
 
-// TestFloatLitMatchesParseFloat: the decoder's float literals, exact path
-// or not, carry ParseFloat's bits and its overflow rejections.
-func TestFloatLitMatchesParseFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	digits := func(n int) string {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('0' + rng.Intn(10))
-			if rng.Intn(3) == 0 {
-				b[i] = '0'
-			}
-		}
-		return string(b)
-	}
-	for i := 0; i < 200000; i++ {
-		lit := digits(1 + rng.Intn(18))
-		if len(lit) > 1 && lit[0] == '0' {
-			lit = lit[1:]
-			if lit[0] == '0' {
-				lit = "0"
-			}
-		}
-		if rng.Intn(2) == 0 {
-			lit = "-" + lit
-		}
-		if rng.Intn(2) == 0 {
-			lit += "." + digits(1+rng.Intn(18))
-		}
-		if rng.Intn(3) == 0 {
-			lit += []string{"e", "E", "e+", "e-", "E-"}[rng.Intn(5)] + digits(1+rng.Intn(3))
-		}
-		want, wantErr := strconv.ParseFloat(lit, 64)
-		d := &decoder{data: []byte(lit)}
-		got, err := d.floatLit()
-		if (err == nil) != (wantErr == nil) || err == nil && math.Float64bits(got) != math.Float64bits(want) || d.off != len(lit) {
-			t.Fatalf("floatLit(%s) = %v (%v), ParseFloat = %v (%v)", lit, got, err, want, wantErr)
-		}
-	}
-}
-
-// TestAppendFloatIntegers: the integer shortcut prints what encoding/json
-// prints, sign of zero included.
+// TestAppendFloatIntegers: integers and the 'f'/'e' boundary print as
+// encoding/json prints them, sign of zero included.
 func TestAppendFloatIntegers(t *testing.T) {
 	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 128, 1e14, 999999999999999, 1e15, -1e15 + 1, 4503599627370497, 1e20, 1e21} {
 		want, _ := json.Marshal(f)
